@@ -4,7 +4,9 @@ A quadruple (k, l, n, m) encodes the locus k(u^2 - sigma*v^2) - 2lu -
 2nv + m = 0; it is a point of P^3, so quadruples are compared up to a
 common nonzero factor.  Packing the quadruple into a 2x2 matrix over
 the cycle-space algebra turns the Moebius action into matrix
-similarity, which is how every transformation here is computed.
+similarity.  Its imaginary part is a scalar multiple of the identity,
+so each transformation reduces to a fixed polynomial in the components,
+which is what the code evaluates; no matrix product is formed.
 
 A quadruple deliberately stores no signs: the same (k,l,n,m) can be
 drawn as a circle, a parabola or a hyperbola, and paired with any
@@ -27,7 +29,7 @@ from .errors import (
     UnderDetermined,
 )
 from .hypercomplex import HNumber, SpaceSign, h_real
-from .moebius import INFINITY, GroupElement, Point, PointOrInfinity, invert
+from .moebius import INFINITY, GroupElement, Point, PointOrInfinity
 from .numbers import Scalar, div, is_exact, sqrt_exact
 
 
@@ -109,16 +111,6 @@ def _require_shape(a11: HNumber, a12: HNumber, a21: HNumber, a22: HNumber) -> No
         raise ShapeError("diagonal must be (w, -conj-mirror(w))")
 
 
-def _mat_mul(x, y):
-    """2x2 product of HNumber 4-tuples (row-major)."""
-    return (
-        x[0] * y[0] + x[1] * y[2],
-        x[0] * y[1] + x[1] * y[3],
-        x[2] * y[0] + x[3] * y[2],
-        x[2] * y[1] + x[3] * y[3],
-    )
-
-
 def to_fscc(cycle: CycleQuadruple, ctx: FSCcContext) -> FSCcMatrix:
     sign = ctx.sigma_cycle
     k, l, n, m = cycle.components()
@@ -137,35 +129,25 @@ def from_fscc(matrix: FSCcMatrix) -> CycleQuadruple:
     return CycleQuadruple(a21.re, a11.re, div(a11.im, s), -a12.re)
 
 
-def _fscc_entries(cycle: CycleQuadruple, ctx: FSCcContext):
-    sign = ctx.sigma_cycle
-    k, l, n, m = cycle.components()
-    return (
-        HNumber(l, ctx.s * n, sign),
-        h_real(-m, sign),
-        h_real(k, sign),
-        HNumber(-l, ctx.s * n, sign),
-    )
-
-
-def _quadruple_from_entries(entries, ctx: FSCcContext) -> CycleQuadruple:
-    matrix = FSCcMatrix(*entries, ctx)
-    return from_fscc(matrix)
-
-
 def similarity_transform(
     cycle: CycleQuadruple, g: GroupElement, ctx: FSCcContext
 ) -> CycleQuadruple:
-    """Image of the cycle under the Moebius map of g, via g M g^{-1}.
+    """Image of the cycle under the Moebius map of g: the quadruple of g M g^{-1}.
 
-    The resulting quadruple is projectively independent of the context;
-    the matrix shape is re-checked after conjugation.
+    The imaginary part i*s*n of M commutes with g, so n is fixed and
+    (k, l, m) moves by conjugation with the real matrix g; the result is
+    projectively independent of the context.
     """
-    sign = ctx.sigma_cycle
-    g_mat = tuple(h_real(x, sign) for x in g.entries())
-    g_inv = tuple(h_real(x, sign) for x in invert(g).entries())
-    product = _mat_mul(_mat_mul(g_mat, _fscc_entries(cycle, ctx)), g_inv)
-    return _quadruple_from_entries(product, ctx)
+    a, b, c, d = g.entries()
+    k, l, n, m = cycle.components()
+    # n drops out of (k, l, m); adding 0 * n keeps the type the matrix product gave them
+    zero = 0 * n
+    return CycleQuadruple(
+        zero + d * d * k + 2 * c * d * l + c * c * m,
+        zero + (a * d + b * c) * l + b * d * k + a * c * m,
+        div(ctx.s * n, ctx.s),
+        zero + b * b * k + 2 * a * b * l + a * a * m,
+    )
 
 
 def cycle_eval(cycle: CycleQuadruple, z: Point, sigma: SpaceSign) -> Scalar:
@@ -395,7 +377,7 @@ def _quadratic_residual(constraint: HasFocus, quad: list[Scalar]) -> Scalar:
     return int(constraint.sigma_cycle) * n * n - l * l + m * k - 2 * v * n * k
 
 
-def _gauss_solve(rows, rhs, exact: bool):
+def gauss_solve(rows, rhs, exact: bool):
     """Gaussian elimination over Fraction or float.
 
     Returns (particular solution, nullspace basis) or None when the
@@ -514,7 +496,7 @@ def cycle_from_constraints(constraints: list[Constraint]) -> list[CycleQuadruple
         for coeffs, b in _linear_rows(constraint):
             rows.append(coeffs)
             rhs.append(b)
-    solved = _gauss_solve(rows, rhs, exact)
+    solved = gauss_solve(rows, rhs, exact)
     if solved is None:
         raise Inconsistent("linear constraints admit no solution")
     particular, basis = solved

@@ -16,7 +16,7 @@ import os
 from dataclasses import dataclass, field
 
 from .cycle import CycleQuadruple, FSCcContext, centre, focus
-from .errors import UsageError
+from .errors import FocusUndefined, UsageError
 from .hypercomplex import SpaceSign
 from .moebius import INFINITY, Point, k_orbit, subgroup_element
 from .numbers import fmt12
@@ -179,7 +179,7 @@ def _fig_eph_cycle(params: dict[str, str]):
             try:
                 f = focus(quad, kind)
                 extras.append(_extra_dot(f, colour, viewport, scale=2.0))
-            except Exception:
+            except FocusUndefined:
                 pass
         comments = [f"one quadruple drawn {sigma.letter}-style with centres and foci"]
         panels.append((sigma.letter, render_svg(doc, comments, extras)))
@@ -199,7 +199,7 @@ def _fig_zero_radius(params: dict[str, str]):
             extras = []
             try:
                 extras.append(_extra_dot(focus(quad, sigma_cycle), ORANGE, viewport, 2.0))
-            except Exception:
+            except FocusUndefined:
                 pass
             comments = [
                 f"zero-radius for the {sigma_cycle.letter}-cycle-space drawn {sigma.letter}-style"

@@ -20,8 +20,8 @@ from .cycle import (
     HasKindCentre,
     Normalised,
     PassesThrough,
-    _gauss_solve,
     cycle_from_constraints,
+    gauss_solve,
     radius_sq,
 )
 from .errors import (
@@ -102,7 +102,7 @@ def variational_distance_oracle(
         [bu * bu - sig * bv * bv, -2 * bu, -2 * bv, 1],
         [1.0, 0.0, 0.0, 0.0],
     ]
-    solved = _gauss_solve(rows, [0.0, 0.0, 1.0], exact=False)
+    solved = gauss_solve(rows, [0.0, 0.0, 1.0], exact=False)
     if solved is None:
         raise Inconsistent("no cycle pencil through the two points")
     base, basis = solved

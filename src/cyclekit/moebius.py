@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ExactModeError, NotAKOrbit
-from .hypercomplex import HNumber, SpaceSign, h_inv, h_mul, h_real
+from .hypercomplex import SpaceSign
 from .numbers import Scalar, div, is_exact, scalar_sqrt, sqrt_exact
 
 
@@ -112,13 +112,15 @@ def mobius_apply(g: GroupElement, z: PointOrInfinity, sigma: SpaceSign) -> Point
         if g.c == 0:
             return INFINITY
         return Point(div(g.a, g.c), 0 if is_exact(g.a, g.c) else 0.0)
-    w = HNumber(z.u, z.v, sigma)
-    num = h_real(g.a, sigma) * w + h_real(g.b, sigma)
-    den = h_real(g.c, sigma) * w + h_real(g.d, sigma)
-    if den.modsq() == 0:
+    # (az+b) * conj(cz+d) / modsq(cz+d), expanded over the scalars
+    a, b, c, d = g.entries()
+    u, v = z.u, z.v
+    den_re = c * u + d
+    mod = den_re * den_re - int(sigma) * (c * v) ** 2
+    if mod == 0:
         return INFINITY
-    image = h_mul(num, h_inv(den))
-    return Point(image.re, image.im)
+    re = (a * u + b) * den_re - int(sigma) * a * c * v * v
+    return Point(div(re, mod), div(v * (a * d - b * c), mod))
 
 
 def subgroup_element(kind: str, param: Scalar) -> GroupElement:

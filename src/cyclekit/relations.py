@@ -17,11 +17,8 @@ from .cycle import (
     CycleQuadruple,
     FSCcContext,
     REAL_LINE,
-    _fscc_entries,
-    _gauss_solve,
-    _mat_mul,
-    _quadruple_from_entries,
     centre,
+    gauss_solve,
     normalized_key,
     zero_radius_cycle,
 )
@@ -33,7 +30,7 @@ from .errors import (
 )
 from .hypercomplex import SpaceSign
 from .moebius import INFINITY, PointOrInfinity
-from .numbers import Scalar, is_exact
+from .numbers import Scalar, div, is_exact
 
 
 def heaviside(t: Scalar) -> int:
@@ -83,6 +80,30 @@ def ghost_cycle(
     return CycleQuadruple(cycle.k, cycle.l, twist * cycle.n, cycle.m)
 
 
+def _sandwich(
+    mirror: CycleQuadruple, cycle: CycleQuadruple, sigma_cycle: SpaceSign, s: int
+) -> tuple[Scalar, Scalar, Scalar, Scalar]:
+    """(k, l, x, m) of M_mirror * M_cycle * M_mirror, whose imaginary part is i*s*x.
+
+    With M = R + i*s*n and R traceless real, R1 R2 R1 = tr(R1 R2) R1 -
+    (l1^2 - m1 k1) R2.  The m1 terms cancel from k and the k1 terms from
+    m; leaving them out keeps the result types of the matrix product.
+    """
+    k1, l1, n1, m1 = mirror.components()
+    k2, l2, n2, m2 = cycle.components()
+    sig_s2 = int(sigma_cycle) * s * s
+    trace = 2 * l1 * l2 - m1 * k2 - k1 * m2
+    square = l1 * l1 - m1 * k1
+    shared = 2 * l1 * l2 + 2 * sig_s2 * n1 * n2
+    rest = sig_s2 * n1 * n1 - l1 * l1
+    return (
+        k1 * (shared - k1 * m2) + k2 * rest,
+        (trace + 2 * sig_s2 * n1 * n2) * l1 + (sig_s2 * n1 * n1 - square) * l2,
+        n1 * trace + n2 * square + sig_s2 * n1 * n1 * n2,
+        m1 * (shared - m1 * k2) + m2 * rest,
+    )
+
+
 def reflect_cycle(
     mirror: CycleQuadruple,
     cycle: CycleQuadruple,
@@ -95,18 +116,16 @@ def reflect_cycle(
     map an involution up to scale and reproduces classical point
     inversion in the mirror; pass ``conjugate_argument=False`` for the
     raw triple product, whose imaginary part differs only in sign.  The
-    product always keeps the cycle-matrix shape; a zero product raises
-    DegenerateReflection.
+    product, a fixed polynomial in the components, always has the
+    cycle-matrix shape; a zero product raises DegenerateReflection.
     """
-    mirror_m = _fscc_entries(mirror, ctx)
     inner = cycle
     if conjugate_argument:
         inner = CycleQuadruple(cycle.k, cycle.l, -cycle.n, cycle.m)
-    inner_m = _fscc_entries(inner, ctx)
-    product = _mat_mul(_mat_mul(mirror_m, inner_m), mirror_m)
-    if all(e.is_zero() for e in product):
-        raise DegenerateReflection("reflection collapsed to the zero matrix")
-    return _quadruple_from_entries(product, ctx)
+    k, l, x, m = _sandwich(mirror, inner, ctx.sigma_cycle, ctx.s)
+    if k == 0 and l == 0 and m == 0 and x == 0:
+        raise DegenerateReflection("reflection collapsed to the zero quadruple")
+    return CycleQuadruple(k, l, div(ctx.s * x, ctx.s), m)
 
 
 def invert_point(
@@ -142,19 +161,13 @@ def common_inverse_point(
     return invert_point(ghost, b, chi_ctx)
 
 
-def _trace_of_quadruple_product(cycles, ctx: FSCcContext):
-    entries = [_fscc_entries(c, ctx) for c in cycles]
-    product = entries[0]
-    for nxt in entries[1:]:
-        product = _mat_mul(product, nxt)
-    return product[0] + product[3]
-
-
 def is_s_orthogonal(
     cycle: CycleQuadruple, other: CycleQuadruple, ctx: FSCcContext
 ) -> bool:
     """trace(C * C~ * C * R) = 0, all hypercomplex components.
 
+    R = i*s is the real line, so the trace is the real number
+    2*sigma_cycle*s^2*x, with i*s*x the imaginary part of C * C~ * C.
     The relation is not symmetric.  In the parabolic cycle space the
     trace vanishes identically; the verdict is True with a diagnostic
     warning.
@@ -166,13 +179,14 @@ def is_s_orthogonal(
             stacklevel=2,
         )
         return True
-    trace = _trace_of_quadruple_product([cycle, other, cycle, REAL_LINE], ctx)
-    if is_exact(trace.re, trace.im):
-        return trace.is_zero()
+    imag = _sandwich(cycle, other, ctx.sigma_cycle, ctx.s)[2]
+    trace = 2 * int(ctx.sigma_cycle) * ctx.s * ctx.s * imag
+    if is_exact(trace):
+        return trace == 0
     scale = max(1.0, *(abs(float(x)) for x in cycle.components())) ** 2 * max(
         1.0, *(abs(float(x)) for x in other.components())
     )
-    return abs(trace.re) <= 1e-9 * scale and abs(trace.im) <= 1e-9 * scale
+    return abs(trace) <= 1e-9 * scale
 
 
 def s_ghost(
@@ -188,13 +202,11 @@ def s_ghost(
         raise DegenerateReflection(
             "s-ghost collapses to the real line in the parabolic cycle space"
         )
-    chi_ctx = FSCcContext(sigma_cycle, heaviside(int(sigma)))
-    mirror_m = _fscc_entries(cycle, chi_ctx)
-    line_m = _fscc_entries(REAL_LINE, chi_ctx)
-    product = _mat_mul(_mat_mul(mirror_m, line_m), mirror_m)
-    if all(e.is_zero() for e in product):
-        raise DegenerateReflection("s-ghost collapsed to the zero matrix")
-    return _quadruple_from_entries(product, FSCcContext(sigma_cycle, 1))
+    s = heaviside(int(sigma))
+    k, l, x, m = _sandwich(cycle, REAL_LINE, sigma_cycle, s)
+    if k == 0 and l == 0 and m == 0 and x == 0:
+        raise DegenerateReflection("s-ghost collapsed to the zero quadruple")
+    return CycleQuadruple(k, l, div(s * x, 1), m)
 
 
 def orthogonal_family(
@@ -219,7 +231,7 @@ def orthogonal_family(
         [-cycle.m, 2 * cycle.l, -2 * sig_c * ctx.s * ctx.s * cycle.n, -cycle.k],
         [u * u - sig_p * v * v, -2 * u, -2 * v, 1],
     ]
-    solved = _gauss_solve(rows, [0, 0], is_exact(u, v, *cycle.components()))
+    solved = gauss_solve(rows, [0, 0], is_exact(u, v, *cycle.components()))
     if solved is None:
         raise Inconsistent("orthogonality and incidence admit no common cycle")
     _, basis = solved
