@@ -2,9 +2,10 @@
 
 Exit codes: 0 success (or a true predicate), 1 false predicate or usage
 problem, 2 domain error (zero divisors, degenerate configurations,
-unsolvable constraint systems), 3 input/output failure.  Value-producing
-cycle and point commands print bare comma-separated scalars; check,
-distance, length, perp and conformal print single-line JSON.
+unsolvable constraint systems), 3 input/output failure or a document
+that breaks the JSON schema.  Value-producing cycle and point commands
+print bare comma-separated scalars; check, distance, length, perp and
+conformal print single-line JSON.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .metric import (
 from .moebius import INFINITY, GroupElement, Point, k_orbit, mobius_apply
 from .numbers import parse_scalar, scalar_repr, scalar_to_json
 from .relations import ghost_cycle, invert_point, is_orthogonal, is_s_orthogonal, s_ghost
-from .svgout import CycleSetDocument, document_to_json, parse_document, render_svg
+from .svgout import CycleSetDocument, DocumentError, document_to_json, parse_document, render_svg
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,25 +58,45 @@ def _resolve_mode(args, default_exact: bool) -> bool:
     return default_exact
 
 
+# what parse_scalar and the constructors raise for text that is no valid input
+_BAD_TEXT = (ValueError, ZeroDivisionError, OverflowError)
+
+
 def _parse_quadruple(text: str, exact: bool) -> CycleQuadruple:
     parts = text.split(",")
     if len(parts) != 4:
         raise UsageError(f"cycle needs k,l,n,m, got {text!r}")
-    return CycleQuadruple(*(parse_scalar(p, exact) for p in parts))
+    try:
+        return CycleQuadruple(*(parse_scalar(p, exact) for p in parts))
+    except _BAD_TEXT as exc:
+        raise UsageError(f"bad cycle {text!r}: {exc}") from exc
 
 
 def _parse_point(text: str, exact: bool):
     parts = text.split(",")
     if len(parts) != 2:
         raise UsageError(f"point needs u,v, got {text!r}")
-    return (parse_scalar(parts[0], exact), parse_scalar(parts[1], exact))
+    try:
+        return (parse_scalar(parts[0], exact), parse_scalar(parts[1], exact))
+    except _BAD_TEXT as exc:
+        raise UsageError(f"bad point {text!r}: {exc}") from exc
 
 
 def _parse_group(text: str, exact: bool) -> GroupElement:
     parts = text.split(",")
     if len(parts) != 4:
         raise UsageError(f"group element needs a,b,c,d, got {text!r}")
-    return GroupElement(*(parse_scalar(p, exact) for p in parts))
+    try:
+        return GroupElement(*(parse_scalar(p, exact) for p in parts))
+    except _BAD_TEXT as exc:
+        raise UsageError(f"bad group element {text!r}: {exc}") from exc
+
+
+def _parse_params(text: str, exact: bool) -> list:
+    try:
+        return [parse_scalar(p, exact) for p in text.split(",")]
+    except _BAD_TEXT as exc:
+        raise UsageError(f"bad parameter list {text!r}: {exc}") from exc
 
 
 def _sign(text: str) -> SpaceSign:
@@ -223,6 +244,9 @@ def cli_main(argv=None) -> int:
     except CycleKitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except DocumentError as exc:
+        print(f"document error: {exc}", file=sys.stderr)
+        return 3
     except (OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
@@ -344,7 +368,7 @@ def _dispatch(args) -> int:
     if command == "orbit":
         exact = _resolve_mode(args, default_exact=False)
         base = _parse_point(args.base, exact)
-        params = [parse_scalar(p, exact) for p in args.params.split(",")]
+        params = _parse_params(args.params, exact)
         for image in k_orbit(Point(*base), _sign(args.sigma), params):
             print(_point_text(image))
         return 0

@@ -4,9 +4,11 @@ The constructions mirror the library's showcase scenes: rotation orbits
 with traversal curves, one quadruple drawn in all three plane styles
 with its centres and foci, the 3x3 grid of zero-radius realisations,
 orthogonality and s-orthogonality pencils with their ghost cycles, and
-the distance/length constructions.  Colours and dashes are house style;
-the geometry behind every panel is computed by the library, never
-hand-placed.
+the distance/length constructions.  Colours and dashes are house style.
+The geometry of the orbit, EPH, zero-radius and orthogonality panels is
+computed by the library; panels b and c of fig-distances place their
+pencil members, extremal circle, foot of the perpendicular and touching
+circle by hand, from the elliptic formulas.
 """
 
 from __future__ import annotations
@@ -18,11 +20,11 @@ from dataclasses import dataclass, field
 from .cycle import CycleQuadruple, FSCcContext, centre, focus
 from .errors import FocusUndefined, UsageError
 from .hypercomplex import SpaceSign
-from .moebius import INFINITY, Point, k_orbit, subgroup_element
+from .moebius import INFINITY, Point, mobius_apply, subgroup_element
 from .numbers import fmt12
 from .relations import common_inverse_point, ghost_cycle, orthogonal_family, s_ghost
 from .cycle import similarity_transform
-from .svgout import CANVAS_PX, CycleSetDocument, CycleStyle, render_svg
+from .svgout import CANVAS_PX, CycleSetDocument, CycleStyle, polyline, render_svg
 
 RECIPE_NAMES = (
     "fig-k-orbits",
@@ -61,18 +63,23 @@ class FigureRecipe:
 
 
 def run_figure(recipe: FigureRecipe, out_dir: str) -> list[str]:
-    """Render every panel of the recipe; returns the file paths written."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Render every panel of the recipe; returns the file paths written.
+
+    Every panel is rendered before the directory is created or any file
+    is written, so a bad parameter leaves nothing behind.
+    """
     builder = {
         "fig-k-orbits": _fig_k_orbits,
         "fig-eph-cycle": _fig_eph_cycle,
         "fig-zero-radius": _fig_zero_radius,
-        "fig-ortho1": _fig_ortho1,
-        "fig-ortho2": _fig_ortho2,
+        "fig-ortho1": lambda params: _fig_ortho(params, s_orthogonal=False),
+        "fig-ortho2": lambda params: _fig_ortho(params, s_orthogonal=True),
         "fig-distances": _fig_distances,
     }[recipe.name]
+    panels = builder(recipe.parameters)
+    os.makedirs(out_dir, exist_ok=True)
     paths = []
-    for panel_name, text in builder(recipe.parameters):
+    for panel_name, text in panels:
         path = os.path.join(out_dir, f"{recipe.name}-{panel_name}.svg")
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
@@ -83,19 +90,31 @@ def run_figure(recipe: FigureRecipe, out_dir: str) -> list[str]:
 def _param_quadruple(params: dict[str, str], key: str, default: CycleQuadruple) -> CycleQuadruple:
     if key not in params:
         return default
-    parts = [float(x) for x in params[key].split(",")]
-    if len(parts) != 4:
-        raise UsageError(f"parameter {key!r} needs k,l,n,m")
-    return CycleQuadruple(*parts)
+    try:
+        return CycleQuadruple(*_param_floats(params, key, "k,l,n,m"))
+    except ValueError as exc:  # the zero quadruple
+        raise UsageError(f"parameter {key!r}: {exc}") from exc
 
 
 def _param_point(params: dict[str, str], key: str, default: tuple[float, float]) -> tuple[float, float]:
     if key not in params:
         return default
-    parts = [float(x) for x in params[key].split(",")]
-    if len(parts) != 2:
-        raise UsageError(f"parameter {key!r} needs u,v")
-    return (parts[0], parts[1])
+    u, v = _param_floats(params, key, "u,v")
+    return (u, v)
+
+
+def _param_floats(params: dict[str, str], key: str, names: str) -> list[float]:
+    """The finite floats of one comma-separated parameter, one per name in ``names``."""
+    text = params[key]
+    try:
+        values = [float(x) for x in text.split(",")]
+    except ValueError:
+        values = []
+    if len(values) != len(names.split(",")):
+        raise UsageError(f"parameter {key!r} needs {names}, got {text!r}")
+    if not all(math.isfinite(x) for x in values):
+        raise UsageError(f"parameter {key!r} must be finite, got {text!r}")
+    return values
 
 
 def _extra_dot(point, colour: str, viewport, scale: float = 3.0) -> str:
@@ -138,7 +157,8 @@ def _polyline_runs(points, viewport) -> list[str]:
 
 def _fig_k_orbits(params: dict[str, str]):
     viewport = (-3.0, 3.0, -3.0, 3.0)
-    ts = _orbit_parameters()
+    rotations = [subgroup_element("K", t) for t in _orbit_parameters()]
+    orbit_attrs = f'fill="none" stroke="{BLUE}" stroke-width="{fmt12(2.0 * 6.0 / CANVAS_PX)}"'
     traversal_ts = [math.tan(phi / 2.0) for phi in (-1.2, -0.8, -0.4, 0.4, 0.8, 1.2)]
     panels = []
     for sigma in _SIGNS:
@@ -152,13 +172,10 @@ def _fig_k_orbits(params: dict[str, str]):
             )
             cycles.append((axis_image, CycleStyle(stroke=GREY)))
         for v0 in (0.5, 1.0, 2.0):
-            orbit_pts = k_orbit(Point(0.0, v0), sigma, ts)
+            base = Point(0.0, v0)
+            orbit_pts = [mobius_apply(g, base, sigma) for g in rotations]
             for run in _polyline_runs(orbit_pts, viewport):
-                pts = " ".join(f"{fmt12(u)},{fmt12(v)}" for u, v in run)
-                extras.append(
-                    f'<polyline points="{pts}" fill="none" stroke="{BLUE}" '
-                    f'stroke-width="{fmt12(2.0 * 6.0 / CANVAS_PX)}"/>'
-                )
+                extras.append(polyline(run, orbit_attrs))
         doc = CycleSetDocument(sigma, cycles, [], viewport)
         comments = [f"rotation orbits in the {sigma.letter}-plane"]
         panels.append((sigma.letter, render_svg(doc, comments, extras)))
@@ -210,44 +227,23 @@ def _fig_zero_radius(params: dict[str, str]):
     return panels
 
 
-def _fig_ortho1(params: dict[str, str]):
+def _fig_ortho(params: dict[str, str], s_orthogonal: bool):
+    """Pencils through b and a second point, orthogonal to the red cycle.
+
+    For s-orthogonality the pencils are orthogonal to the red cycle's
+    s-ghost instead, and the parabolic cycle-space panel is degenerate.
+    """
     red = _param_quadruple(params, "cycle", CycleQuadruple(1.0, 0.0, 1.0, 0.0))
     b = _param_point(params, "b", (1.0, 1.0))
     second = (-1.2, 0.6)
     viewport = (-3.0, 3.0, -3.0, 3.0)
     sigma = SpaceSign.ELLIPTIC
+    relation = "s-orthogonal" if s_orthogonal else "orthogonal"
     panels = []
     for sigma_cycle in _SIGNS:
-        ctx = FSCcContext(sigma_cycle, 1)
-        cycles = [(red, CycleStyle(stroke=RED))]
-        comments = [f"pencils orthogonal to the red cycle, cycle-space {sigma_cycle.letter}"]
-        for member in orthogonal_family(red, b, ctx, 5, sigma):
-            cycles.append((member, CycleStyle(stroke=BLUE)))
-        for member in orthogonal_family(red, second, ctx, 4, sigma):
-            cycles.append((member, CycleStyle(stroke=GREEN)))
-        ghost = ghost_cycle(red, sigma, sigma_cycle)
-        cycles.append((ghost, CycleStyle(stroke=RED, dash=True)))
+        comments = [f"pencils {relation} to the red cycle, cycle-space {sigma_cycle.letter}"]
         extras = [_extra_dot(b, "#222222", viewport)]
-        d = common_inverse_point(red, b, sigma, sigma_cycle)
-        if d is not INFINITY:
-            extras.append(_extra_dot(d, ORANGE, viewport))
-        panels.append((sigma_cycle.letter, render_svg(
-            CycleSetDocument(sigma, cycles, [], viewport), comments, extras
-        )))
-    return panels
-
-
-def _fig_ortho2(params: dict[str, str]):
-    red = _param_quadruple(params, "cycle", CycleQuadruple(1.0, 0.0, 1.0, 0.0))
-    b = _param_point(params, "b", (1.0, 1.0))
-    viewport = (-3.0, 3.0, -3.0, 3.0)
-    sigma = SpaceSign.ELLIPTIC
-    panels = []
-    for sigma_cycle in _SIGNS:
-        comments = [
-            f"pencils s-orthogonal to the red cycle, cycle-space {sigma_cycle.letter}"
-        ]
-        if sigma_cycle == SpaceSign.PARABOLIC:
+        if s_orthogonal and sigma_cycle == SpaceSign.PARABOLIC:
             doc = CycleSetDocument(sigma, [(red, CycleStyle(stroke=RED))], [], viewport)
             comments.append(
                 "degenerate panel: every cycle is s-orthogonal in the parabolic cycle space"
@@ -255,21 +251,25 @@ def _fig_ortho2(params: dict[str, str]):
             text = render_svg(
                 doc,
                 comments,
-                [_extra_dot(b, "#222222", viewport)],
+                extras,
                 annotations=[(-2.8, -2.6, "s-orthogonality is degenerate here")],
             )
             panels.append((sigma_cycle.letter, text))
             continue
         ctx = FSCcContext(sigma_cycle, 1)
-        ghost = s_ghost(red, sigma, sigma_cycle)
+        if s_orthogonal:
+            ghost = s_ghost(red, sigma, sigma_cycle)
+            base = ghost
+        else:
+            ghost = ghost_cycle(red, sigma, sigma_cycle)
+            base = red
         cycles = [(red, CycleStyle(stroke=RED))]
-        for member in orthogonal_family(ghost, b, ctx, 5, sigma):
+        for member in orthogonal_family(base, b, ctx, 5, sigma):
             cycles.append((member, CycleStyle(stroke=BLUE)))
-        for member in orthogonal_family(ghost, (-1.2, 0.6), ctx, 4, sigma):
+        for member in orthogonal_family(base, second, ctx, 4, sigma):
             cycles.append((member, CycleStyle(stroke=GREEN)))
         cycles.append((ghost, CycleStyle(stroke=RED, dash=True)))
-        extras = [_extra_dot(b, "#222222", viewport)]
-        d = common_inverse_point(ghost, b, sigma, sigma_cycle)
+        d = common_inverse_point(base, b, sigma, sigma_cycle)
         if d is not INFINITY:
             extras.append(_extra_dot(d, ORANGE, viewport))
         panels.append((sigma_cycle.letter, render_svg(

@@ -115,11 +115,12 @@ def mobius_apply(g: GroupElement, z: PointOrInfinity, sigma: SpaceSign) -> Point
     # (az+b) * conj(cz+d) / modsq(cz+d), expanded over the scalars
     a, b, c, d = g.entries()
     u, v = z.u, z.v
+    sig = int(sigma)
     den_re = c * u + d
-    mod = den_re * den_re - int(sigma) * (c * v) ** 2
+    mod = den_re * den_re - sig * (c * v) ** 2
     if mod == 0:
         return INFINITY
-    re = (a * u + b) * den_re - int(sigma) * a * c * v * v
+    re = (a * u + b) * den_re - sig * a * c * v * v
     return Point(div(re, mod), div(v * (a * d - b * c), mod))
 
 

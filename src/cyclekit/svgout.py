@@ -2,9 +2,12 @@
 
 Circles are native <circle> elements, parabolas are exact quadratic
 Bezier arcs (a parabola is exactly a quadratic Bezier), hyperbolas are
-sampled polylines with at least 128 points per branch.  All numbers are
-formatted to at most 12 significant digits with "-0" normalised, so a
-given document always renders to identical bytes.
+sampled polylines: a 1,024-point grid across the viewport finds the
+u-intervals where the branches are real, and each interval is sampled at
+160 abscissae shared by both branches, keeping the samples that fall
+within one viewport height of the viewport.  All numbers are formatted
+to at most 12 significant digits with "-0" normalised, so a given
+document always renders to identical bytes.
 """
 
 from __future__ import annotations
@@ -41,26 +44,48 @@ class CycleSetDocument:
             raise ValueError("viewport must satisfy umin < umax and vmin < vmax")
 
 
+class DocumentError(ValueError):
+    """A cycle document that breaks the JSON schema; the message names the entry."""
+
+
 def parse_document(text: str, exact: bool = False) -> CycleSetDocument:
-    """Read the JSON document schema; scalars may be numbers or "p/q"."""
+    """Read the JSON document schema; scalars may be numbers or "p/q".
+
+    Malformed JSON raises ``json.JSONDecodeError``.  A document that
+    parses but breaks the schema (a missing key, a scalar that is not
+    finite, the zero quadruple, an empty viewport) raises ``DocumentError``.
+    """
     raw = json.loads(text)
-    sigma = SpaceSign.parse(raw["sigma"])
-    viewport = tuple(float(_scalar(x, False)) for x in raw["viewport"])
-    if len(viewport) != 4:
-        raise ValueError("viewport needs [umin, umax, vmin, vmax]")
+    sign = _entry(raw, "sigma", "the document")
+    try:
+        sigma = SpaceSign.parse(sign)
+    except ValueError as exc:
+        raise DocumentError(f"sigma: {exc}") from exc
+    viewport = tuple(
+        _scalar(x, False, "viewport")
+        for x in _items(_entry(raw, "viewport", "the document"), "viewport", 4)
+    )
     cycles = []
-    for entry in raw.get("cycles", []):
-        quad = CycleQuadruple(*(_scalar(entry[key], exact) for key in "klnm"))
+    for index, entry in enumerate(_items(raw.get("cycles", []), "cycles")):
+        where = f"cycle {index}"
+        comps = [_scalar(_entry(entry, key, where), exact, where) for key in "klnm"]
+        try:
+            quad = CycleQuadruple(*comps)
+        except ValueError as exc:
+            raise DocumentError(f"{where}: {exc}") from exc
         style_raw = entry.get("style", {})
-        style = CycleStyle(
-            stroke=style_raw.get("stroke", CycleStyle.stroke),
-            dash=bool(style_raw.get("dash", False)),
-        )
-        cycles.append((quad, style))
-    points = [
-        (_scalar(p[0], exact), _scalar(p[1], exact)) for p in raw.get("points", [])
-    ]
-    return CycleSetDocument(sigma, cycles, points, viewport)
+        stroke = style_raw.get("stroke", CycleStyle.stroke) if isinstance(style_raw, dict) else None
+        if not isinstance(stroke, str) or any(ch in stroke for ch in '"<&'):
+            raise DocumentError(f"{where}: style needs a stroke colour without '\"', '<' or '&'")
+        cycles.append((quad, CycleStyle(stroke, bool(style_raw.get("dash", False)))))
+    points = []
+    for index, entry in enumerate(_items(raw.get("points", []), "points")):
+        where = f"point {index}"
+        points.append(tuple(_scalar(x, exact, where) for x in _items(entry, where, 2)))
+    try:
+        return CycleSetDocument(sigma, cycles, points, viewport)
+    except ValueError as exc:
+        raise DocumentError(str(exc)) from exc
 
 
 def document_to_json(doc: CycleSetDocument) -> str:
@@ -82,12 +107,30 @@ def document_to_json(doc: CycleSetDocument) -> str:
     return json.dumps(payload)
 
 
-def _scalar(value, exact: bool) -> Scalar:
-    if isinstance(value, str):
-        return parse_scalar(value, exact)
-    if isinstance(value, bool):
-        raise ValueError("booleans are not scalars")
-    return float(value) if not exact else parse_scalar(str(value), True)
+def _entry(obj, key: str, where: str):
+    if not isinstance(obj, dict):
+        raise DocumentError(f"{where} must be a JSON object")
+    if key not in obj:
+        raise DocumentError(f"{where} is missing key {key!r}")
+    return obj[key]
+
+
+def _items(value, where: str, size: int | None = None) -> list:
+    if not isinstance(value, list) or size not in (None, len(value)):
+        raise DocumentError(f"{where} must be a list" + (f" of {size} scalars" if size else ""))
+    return value
+
+
+def _scalar(value, exact: bool, where: str) -> Scalar:
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise DocumentError(f"{where}: {value!r} is not a scalar")
+    try:
+        result = parse_scalar(str(value), exact) if exact or isinstance(value, str) else float(value)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise DocumentError(f"{where}: {value!r} is not a scalar") from exc
+    if isinstance(result, float) and not math.isfinite(result):
+        raise DocumentError(f"{where}: {value!r} is not finite")
+    return result
 
 
 def render_svg(
@@ -262,46 +305,48 @@ def _hyperbola_polylines(
 ) -> list[str]:
     umin, umax, vmin, vmax = doc.viewport
     span = vmax - vmin
-
-    def disc_at(u: float) -> float:
-        return n * n + k * (k * u * u - 2.0 * l * u + m)
-
-    # locate the contiguous u-intervals where the branches are real
+    lo, hi = vmin - span, vmax + span
+    # the branches v = (-n +- sqrt(disc)) / k are real where
+    # disc = n^2 + k (k u^2 - 2 l u + m) >= 0; a sentinel closes the last run
     scan = 1024
-    feasible = [umin + (umax - umin) * i / (scan - 1) for i in range(scan)]
-    intervals: list[tuple[float, float]] = []
-    start = None
-    for u in feasible:
-        if disc_at(u) >= 0:
-            if start is None:
-                start = u
-            end = u
-        elif start is not None:
-            intervals.append((start, end))
-            start = None
-    if start is not None:
-        intervals.append((start, end))
+    grid = [umin + (umax - umin) * i / (scan - 1) for i in range(scan)]
+    real = [n * n + k * (k * u * u - 2.0 * l * u + m) >= 0 for u in grid] + [False]
+    sampled: list[list[tuple[float, float]]] = []  # (u, sqrt(disc)) per interval
+    stop = 0
+    while True in real[stop:]:
+        start = real.index(True, stop)
+        stop = real.index(False, start)
+        ua, ub = grid[start], grid[stop - 1]
+        if ub <= ua:
+            continue
+        roots = []
+        for i in range(HYPERBOLA_SAMPLES):
+            u = ua + (ub - ua) * i / (HYPERBOLA_SAMPLES - 1)
+            disc = n * n + k * (k * u * u - 2.0 * l * u + m)
+            if disc >= 0:
+                roots.append((u, math.sqrt(disc)))
+        sampled.append(roots)
 
     elements = []
     for branch in (1.0, -1.0):
-        for ua, ub in intervals:
-            if ub <= ua:
-                continue
-            run: list[tuple[float, float]] = []
-            for i in range(HYPERBOLA_SAMPLES):
-                u = ua + (ub - ua) * i / (HYPERBOLA_SAMPLES - 1)
-                disc = disc_at(u)
-                if disc < 0:
-                    continue
-                v = (-n + branch * math.sqrt(disc)) / k
-                if vmin - span <= v <= vmax + span:
+        for roots in sampled:
+            run = []
+            for u, root in roots:
+                v = (-n + branch * root) / k
+                if lo <= v <= hi:
                     run.append((u, v))
-            if len(run) < 2:
-                continue
-            pts = " ".join(f"{fmt12(u)},{fmt12(v)}" for u, v in run)
-            elements.append(f'<polyline points="{pts}" {attrs}/>')
+            if len(run) >= 2:
+                elements.append(polyline(run, attrs))
     if not elements:
         elements.append("<!-- empty hyperbolic locus -->")
     return elements
 
 
+def polyline(points, attrs: str) -> str:
+    """A <polyline> through (u, v) points, each coordinate formatted as by fmt12.
+
+    Adding 0.0 turns -0.0 into 0.0 and converts int and Fraction
+    coordinates to float, leaving every other value unchanged.
+    """
+    coords = " ".join(["%.12g,%.12g" % (u + 0.0, v + 0.0) for u, v in points])
+    return f'<polyline points="{coords}" {attrs}/>'

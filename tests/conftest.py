@@ -6,6 +6,8 @@ import math
 import random
 from fractions import Fraction
 
+from hypothesis import settings
+
 from cyclekit import (
     CycleQuadruple,
     FSCcContext,
@@ -16,6 +18,11 @@ from cyclekit import (
     radius_sq,
     subgroup_element,
 )
+
+# Property tests draw the same examples on every run and never time out:
+# host speed varies by up to 2x, and runs of two commits must be comparable.
+settings.register_profile("cyclekit", deadline=None, derandomize=True)
+settings.load_profile("cyclekit")
 
 ALL_SIGNS = (SpaceSign.ELLIPTIC, SpaceSign.PARABOLIC, SpaceSign.HYPERBOLIC)
 
