@@ -20,7 +20,6 @@ from fractions import Fraction
 
 from .errors import (
     EverywhereZero,
-    ExactModeError,
     FocusUndefined,
     Inconsistent,
     LineHasNoRadius,
@@ -30,7 +29,7 @@ from .errors import (
 )
 from .hypercomplex import HNumber, SpaceSign, h_real
 from .moebius import INFINITY, GroupElement, Point, PointOrInfinity
-from .numbers import Scalar, div, is_exact, sqrt_exact
+from .numbers import REL_TOL, Scalar, div, is_exact, scalar_sqrt, sqrt_or_float, vanishes
 
 
 @dataclass(frozen=True)
@@ -97,17 +96,10 @@ class FSCcMatrix:
 
 
 def _require_shape(a11: HNumber, a12: HNumber, a21: HNumber, a22: HNumber) -> None:
-    tol = 0.0 if is_exact(a11.re, a11.im, a12.re, a12.im, a21.re, a21.im, a22.re, a22.im) else 1e-9
-    scale = max(
-        1.0 if tol else 1,
-        *(abs(x) for e in (a11, a12, a21, a22) for x in (e.re, e.im)),
-    )
-    def off(x):
-        return abs(x) > tol * scale if tol else x != 0
-
-    if off(a12.im) or off(a21.im):
+    values = tuple(x for e in (a11, a12, a21, a22) for x in (e.re, e.im))
+    if not (vanishes(a12.im, values) and vanishes(a21.im, values)):
         raise ShapeError("off-diagonal entries must be real")
-    if off(a22.re + a11.re) or off(a22.im - a11.im):
+    if not (vanishes(a22.re + a11.re, values) and vanishes(a22.im - a11.im, values)):
         raise ShapeError("diagonal must be (w, -conj-mirror(w))")
 
 
@@ -225,25 +217,33 @@ def roots(cycle: CycleQuadruple) -> list[Scalar]:
     rational square, floats otherwise.
     """
     k, l, _, m = cycle.components()
-    if k == 0:
-        if l == 0:
-            if m == 0:
-                raise EverywhereZero("real-axis restriction vanishes identically")
-            raise NoRealAxisIntersection("k = l = 0 with m != 0")
-        return [div(m, 2 * l)]
-    disc = l * l - k * m
+    if k == 0 and l == 0:
+        if m == 0:
+            raise EverywhereZero("real-axis restriction vanishes identically")
+        raise NoRealAxisIntersection("k = l = 0 with m != 0")
+    return _quadratic_roots(k, -2 * l, m)
+
+
+def _quadratic_roots(a: Scalar, b: Scalar, c: Scalar) -> list[Scalar]:
+    """Real roots of a t^2 + b t + c = 0, ascending.
+
+    Roots are exact when the coefficients are exact and the discriminant
+    is a rational square, floats otherwise (``sqrt_or_float``).  With
+    a = b = 0 there is no root, or every t is one (UnderDetermined).
+    """
+    if a == 0:
+        if b == 0:
+            if c == 0:
+                raise UnderDetermined("quadratic condition is identically satisfied")
+            return []
+        return [div(-c, b)]
+    disc = b * b - 4 * a * c
     if disc < 0:
         return []
-    if is_exact(k, l, m):
-        root = sqrt_exact(Fraction(disc))
-        if root is None:
-            root = float(disc) ** 0.5
-            return sorted([(float(l) - root) / float(k), (float(l) + root) / float(k)])
-    else:
-        root = disc**0.5
     if disc == 0:
-        return [div(l, k)]
-    return sorted([div(l - root, k), div(l + root, k)])
+        return [div(-b, 2 * a)]
+    root = sqrt_or_float(disc)
+    return sorted([div(-b - root, 2 * a), div(-b + root, 2 * a)])
 
 
 def projective_eq(c1: CycleQuadruple, c2: CycleQuadruple) -> bool:
@@ -258,7 +258,7 @@ def projective_eq(c1: CycleQuadruple, c2: CycleQuadruple) -> bool:
     return True
 
 
-def projective_close(c1: CycleQuadruple, c2: CycleQuadruple, tol: float = 1e-9) -> bool:
+def projective_close(c1: CycleQuadruple, c2: CycleQuadruple, tol: float = REL_TOL) -> bool:
     """Float-friendly projective comparison (normalised max-component)."""
     a = [float(x) for x in c1.components()]
     b = [float(x) for x in c2.components()]
@@ -283,15 +283,7 @@ def normalize(cycle: CycleQuadruple, mode: str, ctx: FSCcContext | None = None) 
         det = det_invariant(cycle, ctx)
         if det <= 0:
             raise ValueError(f"det-one normalisation needs det > 0, got {det}")
-        if is_exact(det):
-            root = sqrt_exact(Fraction(det))
-            if root is None:
-                raise ExactModeError(
-                    f"det {det} is not a perfect rational square; use float mode"
-                )
-        else:
-            root = det**0.5
-        return cycle.scaled(div(1, root))
+        return cycle.scaled(div(1, scalar_sqrt(det, "det-one normalisation")))
     raise ValueError(f"unknown normalisation {mode!r}")
 
 
@@ -380,13 +372,14 @@ def _quadratic_residual(constraint: HasFocus, quad: list[Scalar]) -> Scalar:
 def gauss_solve(rows, rhs, exact: bool):
     """Gaussian elimination over Fraction or float.
 
+    The augmented matrix is converted to the requested mode first, so
+    every component of the result is a Fraction, or every one a float.
     Returns (particular solution, nullspace basis) or None when the
     system is inconsistent.
     """
     nvars = 4
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    if exact:
-        aug = [[Fraction(x) for x in row] for row in aug]
+    scalar = Fraction if exact else float
+    aug = [[scalar(x) for x in r] + [scalar(b)] for r, b in zip(rows, rhs)]
     tol = 0 if exact else 1e-12
     scale = 1 if exact else max([1.0] + [abs(x) for row in aug for x in row])
     pivots: list[int] = []
@@ -404,7 +397,7 @@ def gauss_solve(rows, rhs, exact: bool):
             continue
         aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
         piv = aug[r][col]
-        aug[r] = [div(x, piv) for x in aug[r]]
+        aug[r] = [x / piv for x in aug[r]]
         for i in range(len(aug)):
             if i != r and aug[i][col] != 0:
                 factor = aug[i][col]
@@ -416,137 +409,98 @@ def gauss_solve(rows, rhs, exact: bool):
     for i in range(r, len(aug)):
         if abs(aug[i][nvars]) > tol * scale:
             return None
-    particular = [Fraction(0) if exact else 0.0] * nvars
+    particular = [scalar(0)] * nvars
     for row_idx, col in enumerate(pivots):
         particular[col] = aug[row_idx][nvars]
     free_cols = [c for c in range(nvars) if c not in pivots]
     basis = []
     for free in free_cols:
-        vec = [Fraction(0) if exact else 0.0] * nvars
-        vec[free] = Fraction(1) if exact else 1.0
+        vec = [scalar(0)] * nvars
+        vec[free] = scalar(1)
         for row_idx, col in enumerate(pivots):
             vec[col] = -aug[row_idx][free]
         basis.append(vec)
     return particular, basis
 
 
-def _solve_quadratic(a: Scalar, b: Scalar, c: Scalar) -> list[Scalar]:
-    """Real roots of a t^2 + b t + c, preserving exactness when possible."""
-    if a == 0:
-        if b == 0:
-            if c == 0:
-                raise UnderDetermined("quadratic condition is identically satisfied")
-            return []
-        return [div(-c, b)]
-    disc = b * b - 4 * a * c
-    if disc < 0:
-        return []
-    if is_exact(a, b, c):
-        root = sqrt_exact(Fraction(disc))
-        if root is None:
-            fa, fb, fd = float(a), float(b), float(disc)
-            root = fd**0.5
-            return sorted({(-fb - root) / (2 * fa), (-fb + root) / (2 * fa)})
-    else:
-        root = disc**0.5
-    if disc == 0:
-        return [div(-b, 2 * a)]
-    return sorted([div(-b - root, 2 * a), div(-b + root, 2 * a)])
+def _satisfies(values: list[Scalar], constraints) -> bool:
+    """Re-verify the non-linear parts of every constraint on a candidate.
 
-
-def _settle(values: list[Scalar]) -> CycleQuadruple | None:
-    if all(v == 0 for v in values):
-        return None
-    return CycleQuadruple(*values)
-
-
-def _check_constraints(cand: CycleQuadruple, constraints, tol: float) -> bool:
-    """Re-verify every constraint on a candidate (filters spurious k = 0 hits)."""
-    if not is_exact(*cand.components()):
-        # irrational roots demote exact systems to float candidates
-        tol = max(tol, 1e-9)
+    A centre or focus needs k != 0, a focus also n != 0, and each focus
+    residual must vanish; this filters spurious k = 0 hits.
+    """
+    k, _, n, _ = values
     for constraint in constraints:
-        if isinstance(constraint, (HasKindCentre, HasFocus)) and cand.k == 0:
+        if isinstance(constraint, (HasKindCentre, HasFocus)) and k == 0:
             return False
-        if isinstance(constraint, HasFocus):
-            if cand.n == 0:
-                return False
-            res = _quadratic_residual(constraint, list(cand.components()))
-            scale = max(1.0, *(abs(float(x)) for x in cand.components()))
-            if (res != 0) if tol == 0 else (abs(res) > tol * scale * scale):
-                return False
+        if isinstance(constraint, HasFocus) and (
+            n == 0 or not vanishes(_quadratic_residual(constraint, values), values, values)
+        ):
+            return False
     return True
+
+
+def _focus_roots(constraint: HasFocus, base: list[Scalar], direction: list[Scalar]) -> list[Scalar]:
+    """Parameters t at which base + t*direction satisfies the focus quadratic."""
+    # residual(base + t dir) = a t^2 + b t + c via three evaluations
+    c0 = _quadratic_residual(constraint, base)
+    c_plus = _quadratic_residual(constraint, [x + y for x, y in zip(base, direction)])
+    c_minus = _quadratic_residual(constraint, [x - y for x, y in zip(base, direction)])
+    return _quadratic_roots(div(c_plus + c_minus - 2 * c0, 2), div(c_plus - c_minus, 2), c0)
 
 
 def cycle_from_constraints(constraints: list[Constraint]) -> list[CycleQuadruple]:
     """All cycles satisfying every constraint, in deterministic order.
 
-    Linear conditions are eliminated exactly; an optional focus condition
-    contributes one quadratic that is solved on the residual line.  A
-    solution family of positive projective dimension raises
-    UnderDetermined; an empty system raises Inconsistent.
+    The linear conditions are eliminated first, over Fraction when every
+    constraint scalar is exact and over float otherwise.  When every
+    right-hand side is 0 the system is projective and the last nullspace
+    vector takes the place of the particular solution.  What remains is
+    one candidate, or a line base + t*direction whose candidates are the
+    common roots t of the focus quadratics; a projective line also
+    offers its direction, the point t = infinity.  One pass then checks
+    every candidate: k != 0 and n != 0 where a centre or focus needs
+    them, and every focus residual vanishes in the sense of
+    ``numbers.vanishes`` (exactly, or within ``REL_TOL`` in float mode).
+    A solution family of positive dimension raises UnderDetermined; no
+    surviving candidate raises Inconsistent.
     """
-    exact = all(
-        is_exact(*_constraint_scalars(c)) for c in constraints
-    )
-    tol = 0.0 if exact else 1e-9
     rows, rhs = [], []
-    quadratics = [c for c in constraints if isinstance(c, HasFocus)]
     for constraint in constraints:
         for coeffs, b in _linear_rows(constraint):
             rows.append(coeffs)
             rhs.append(b)
+    exact = all(is_exact(*_constraint_scalars(c)) for c in constraints)
     solved = gauss_solve(rows, rhs, exact)
     if solved is None:
         raise Inconsistent("linear constraints admit no solution")
-    particular, basis = solved
-    homogeneous = all(b == 0 for b in rhs)
-    solutions: list[CycleQuadruple] = []
-
-    if homogeneous:
-        # Projective solving: the particular solution is zero.
-        dim = len(basis)
-        if dim == 0:
+    base, basis = solved
+    projective = all(b == 0 for b in rhs)
+    if projective:
+        if not basis:
             raise Inconsistent("only the zero quadruple satisfies the constraints")
-        if dim == 1:
-            cand = _settle(basis[0])
-            if cand is None:
-                raise Inconsistent("only the zero quadruple satisfies the constraints")
-            if all(
-                _quad_ok(q, list(cand.components()), tol) for q in quadratics
-            ):
-                solutions = [cand]
-            else:
-                raise Inconsistent("quadratic condition rejects the unique candidate")
-        elif dim == 2 and quadratics:
-            solutions = _solve_on_line(
-                basis[1], basis[0], quadratics, tol, include_infinity=True
-            )
-        else:
-            raise UnderDetermined(f"solution family has projective dimension {dim - 1}")
+        base = basis.pop()
+    quadratics = [c for c in constraints if isinstance(c, HasFocus)]
+    if not basis:
+        candidates = [base]
+    elif len(basis) == 1 and quadratics:
+        direction = basis[0]
+        first, *others = [_focus_roots(q, base, direction) for q in quadratics]
+        ts = [t for t in first if all(any(vanishes(t - o, (t, o)) for o in r) for r in others)]
+        candidates = [[x + t * y for x, y in zip(base, direction)] for t in ts]
+        if projective:
+            candidates.append(direction)
     else:
-        dim = len(basis)
-        if dim == 0:
-            cand = _settle(particular)
-            if cand is not None and all(
-                _quad_ok(q, list(cand.components()), tol) for q in quadratics
-            ):
-                solutions = [cand]
-            else:
-                raise Inconsistent("quadratic condition rejects the unique candidate")
-        elif dim == 1 and quadratics:
-            solutions = _solve_on_line(
-                particular, basis[0], quadratics, tol, include_infinity=False
-            )
-        else:
-            raise UnderDetermined(f"solution family has affine dimension {dim}")
-
-    solutions = [s for s in solutions if _check_constraints(s, constraints, tol)]
+        kind = "projective" if projective else "affine"
+        raise UnderDetermined(f"solution family has {kind} dimension {len(basis)}")
+    solutions = [
+        CycleQuadruple(*values)
+        for values in candidates
+        if any(values) and _satisfies(values, constraints)
+    ]
     if not solutions:
         raise Inconsistent("no candidate survives constraint verification")
-    keyed = {}
-    for sol in solutions:
-        keyed[tuple(float(x) for x in normalized_key(sol))] = sol
+    keyed = {tuple(float(x) for x in normalized_key(sol)): sol for sol in solutions}
     return [keyed[key] for key in sorted(keyed)]
 
 
@@ -556,53 +510,3 @@ def _constraint_scalars(constraint: Constraint) -> tuple:
     if isinstance(constraint, IsOrthogonalTo):
         return constraint.cycle.components()
     return ()
-
-
-def _quad_ok(constraint: HasFocus, values: list[Scalar], tol: float) -> bool:
-    res = _quadratic_residual(constraint, values)
-    if tol == 0.0:
-        return res == 0
-    scale = max(1.0, *(abs(float(v)) for v in values)) ** 2
-    return abs(res) <= tol * scale
-
-
-def _solve_on_line(
-    base, direction, quadratics, tol, include_infinity: bool
-) -> list[CycleQuadruple]:
-    """Roots of the focus quadratics on the line base + t*direction.
-
-    On a projective line the direction vector itself is the point at
-    t = infinity and counts as a candidate; on an affine chart it does
-    not satisfy the inhomogeneous normalisation and is excluded.
-    """
-    solutions: list[CycleQuadruple] = []
-    roots_per_q = []
-    for q in quadratics:
-        # residual(base + t dir) = a t^2 + b t + c via three evaluations
-        c0 = _quadratic_residual(q, base)
-        p1 = [x + y for x, y in zip(base, direction)]
-        m1 = [x - y for x, y in zip(base, direction)]
-        c_plus = _quadratic_residual(q, p1)
-        c_minus = _quadratic_residual(q, m1)
-        a = div(c_plus + c_minus - 2 * c0, 2)
-        b = div(c_plus - c_minus, 2)
-        roots_per_q.append(_solve_quadratic(a, b, c0))
-    candidate_ts = roots_per_q[0]
-    for other in roots_per_q[1:]:
-        candidate_ts = [t for t in candidate_ts if any(_t_close(t, o) for o in other)]
-    for t in candidate_ts:
-        values = [x + t * y for x, y in zip(base, direction)]
-        cand = _settle(values)
-        if cand is not None:
-            solutions.append(cand)
-    if include_infinity and all(_quad_ok(q, list(direction), tol) for q in quadratics):
-        cand = _settle(list(direction))
-        if cand is not None:
-            solutions.append(cand)
-    return solutions
-
-
-def _t_close(t1: Scalar, t2: Scalar) -> bool:
-    if is_exact(t1, t2):
-        return t1 == t2
-    return abs(float(t1) - float(t2)) <= 1e-9 * max(1.0, abs(float(t1)), abs(float(t2)))

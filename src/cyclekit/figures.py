@@ -18,7 +18,7 @@ import os
 from dataclasses import dataclass, field
 
 from .cycle import CycleQuadruple, FSCcContext, centre, focus
-from .errors import FocusUndefined, UsageError
+from .errors import CycleKitError, FocusUndefined, UsageError
 from .hypercomplex import SpaceSign
 from .moebius import INFINITY, Point, mobius_apply, subgroup_element
 from .numbers import fmt12
@@ -66,7 +66,10 @@ def run_figure(recipe: FigureRecipe, out_dir: str) -> list[str]:
     """Render every panel of the recipe; returns the file paths written.
 
     Every panel is rendered before the directory is created or any file
-    is written, so a bad parameter leaves nothing behind.
+    is written, so a bad parameter leaves nothing behind.  Parameters
+    that are finite but so extreme that the float geometry overflows or
+    underflows (a non-finite coordinate, a division by an underflowed
+    k^2) raise CycleKitError.
     """
     builder = {
         "fig-k-orbits": _fig_k_orbits,
@@ -76,7 +79,16 @@ def run_figure(recipe: FigureRecipe, out_dir: str) -> list[str]:
         "fig-ortho2": lambda params: _fig_ortho(params, s_orthogonal=True),
         "fig-distances": _fig_distances,
     }[recipe.name]
-    panels = builder(recipe.parameters)
+    try:
+        panels = builder(recipe.parameters)
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise CycleKitError(f"{recipe.name}: parameters out of the float range ({exc})") from exc
+    for panel_name, text in panels:
+        # "%.12g" writes a non-finite float as inf or nan; no other panel text holds these
+        if "inf" in text or "nan" in text:
+            raise CycleKitError(
+                f"{recipe.name}-{panel_name}: parameters give non-finite coordinates"
+            )
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     for panel_name, text in panels:

@@ -31,9 +31,9 @@ from .errors import (
     ExperimentalRegimeWarning,
     Inconsistent,
 )
-from .hypercomplex import HNumber, SpaceSign, h_conj_modsq
+from .hypercomplex import SpaceSign
 from .moebius import GroupElement, Point, mobius_apply
-from .numbers import Scalar
+from .numbers import REL_TOL, Scalar
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ def distance_sq(
     """u^2 - sigma*v^2 of the difference; negative values possible for sigma=1."""
     du = b[0] - a[0]
     dv = b[1] - a[1]
-    return h_conj_modsq(HNumber(du, dv, sigma))[1]
+    return du * du - int(sigma) * dv * dv
 
 
 def variational_distance_oracle(
@@ -189,7 +189,7 @@ def is_perpendicular(
     direction: tuple[Scalar, Scalar],
     kind: LengthKind,
     h: float = 1e-5,
-    tol: float = 1e-9,
+    tol: float = REL_TOL,
 ) -> bool:
     """Local extremum of the first length branch under endpoint shifts.
 

@@ -10,13 +10,11 @@ needs trigonometry.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .errors import ExactModeError, NotAKOrbit
+from .errors import NotAKOrbit
 from .hypercomplex import SpaceSign
-from .numbers import Scalar, div, is_exact, scalar_sqrt, sqrt_exact
+from .numbers import Scalar, div, is_exact, one_like, scalar_sqrt, sqrt_or_float, zero_like
 
 
 class _Infinity:
@@ -134,11 +132,9 @@ def subgroup_element(kind: str, param: Scalar) -> GroupElement:
     if kind == "A":
         if param <= 0:
             raise ValueError("dilation parameter must be positive")
-        return GroupElement(param, 0, 0, div(1, param))
+        return GroupElement(param, zero_like(param), zero_like(param), div(1, param))
     if kind == "N":
-        zero = 0.0 if isinstance(param, float) else 0
-        one = 1.0 if isinstance(param, float) else 1
-        return GroupElement(one, param, zero, one)
+        return GroupElement(one_like(param), param, zero_like(param), one_like(param))
     if kind == "K":
         denom = 1 + param * param
         cos = div(1 - param * param, denom)
@@ -159,16 +155,7 @@ def iwasawa_decompose(g: GroupElement) -> IwasawaFactors:
     requires c*c + d*d to be a perfect rational square.
     """
     a, b, c, d = g.entries()
-    norm_sq = c * c + d * d
-    if is_exact(a, b, c, d):
-        root = sqrt_exact(Fraction(norm_sq))
-        if root is None:
-            raise ExactModeError(
-                f"bottom row norm {norm_sq} is not a perfect rational square; use float mode"
-            )
-        alpha = div(1, root)
-    else:
-        alpha = 1.0 / math.sqrt(norm_sq)
+    alpha = div(1, scalar_sqrt(c * c + d * d, "bottom row norm"))
     cos_phi = d * alpha
     sin_phi = -c * alpha
     nu = a * c + b * d
@@ -195,7 +182,8 @@ def reduce_to_k_orbit(cycle, sigma_cycle: SpaceSign) -> tuple[Scalar, Scalar]:
     Applying N(-nu) then A(alpha) through the similarity action yields a
     quadruple with l = 0 and k = m up to scale.  Cycles whose shifted
     m/k is not positive admit no such form.  The fourth root defining
-    alpha falls back to a float when it is irrational.
+    alpha is taken as two square roots, each of which falls back to a
+    float when it is irrational.
     """
     if cycle.k == 0:
         raise NotAKOrbit("lines are not rotation orbits (k = 0)")
@@ -204,10 +192,4 @@ def reduce_to_k_orbit(cycle, sigma_cycle: SpaceSign) -> tuple[Scalar, Scalar]:
     ratio = div(cycle.k, m_shifted) if m_shifted != 0 else None
     if ratio is None or ratio <= 0:
         raise NotAKOrbit(f"shifted m/k = {m_shifted}/{cycle.k} is not positive")
-    if is_exact(ratio):
-        half = sqrt_exact(Fraction(ratio))
-        quarter = sqrt_exact(half) if half is not None else None
-        alpha = quarter if quarter is not None else float(ratio) ** 0.25
-    else:
-        alpha = float(ratio) ** 0.25
-    return nu, alpha
+    return nu, sqrt_or_float(sqrt_or_float(ratio))

@@ -3,7 +3,10 @@
 Every quantity in the package is either exact (``int``/``fractions.Fraction``)
 or approximate (``float``).  A single computation never mixes the two
 modes; the helpers below classify, parse, take guarded square roots and
-format scalars so the rest of the code can stay mode-agnostic.
+format scalars so the rest of the code can stay mode-agnostic.  The
+exact/float policy lives here alone: ``vanishes`` is the one zero test
+(exact equality, or ``REL_TOL`` scaled by the operands' magnitudes) and
+``scalar_sqrt``/``sqrt_or_float`` are the two square-root rules.
 """
 
 from __future__ import annotations
@@ -16,10 +19,30 @@ from .errors import ExactModeError
 
 Scalar = Union[int, Fraction, float]
 
+# Relative tolerance of every float zero test (see ``vanishes``).
+REL_TOL = 1e-9
+
 
 def is_exact(*values: Scalar) -> bool:
     """True when none of the scalars is a float."""
     return not any(isinstance(v, float) for v in values)
+
+
+def vanishes(value: Scalar, *groups) -> bool:
+    """The zero test of both modes; the mode is read from ``value``.
+
+    An exact value vanishes when it equals 0.  A float vanishes when
+    ``abs(value) <= REL_TOL * prod(max(1, |x| for x in group))`` over the
+    groups, so the bound scales with the magnitudes of the operands the
+    value was built from: pass one group of operands per factor of the
+    expression's degree (a quadratic in a quadruple passes it twice).
+    """
+    if not isinstance(value, float):
+        return value == 0
+    scale = 1.0
+    for group in groups:
+        scale *= max(1.0, *(abs(float(x)) for x in group))
+    return abs(value) <= REL_TOL * scale
 
 
 def zero_like(value: Scalar) -> Scalar:
@@ -97,3 +120,18 @@ def scalar_sqrt(value: Scalar, context: str) -> Scalar:
             f"{context}: {value} has no exact rational square root; use float mode"
         )
     return root
+
+
+def sqrt_or_float(value: Scalar) -> Scalar:
+    """Square root of ``value >= 0`` that stays exact when it can.
+
+    An exact perfect rational square gives its exact root.  Any other
+    exact value falls back explicitly to the float ``float(value) ** 0.5``
+    instead of raising, as does a float; use ``scalar_sqrt`` where exact
+    mode must not leave the rationals.
+    """
+    if not isinstance(value, float):
+        root = sqrt_exact(Fraction(value))
+        if root is not None:
+            return root
+    return float(value) ** 0.5

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .hypercomplex import SpaceSign
 from .moebius import INFINITY, PointOrInfinity
-from .numbers import Scalar, div, is_exact
+from .numbers import Scalar, div, is_exact, vanishes
 
 
 def heaviside(t: Scalar) -> int:
@@ -56,13 +56,7 @@ def pairing(c1: CycleQuadruple, c2: CycleQuadruple, ctx: FSCcContext) -> Scalar:
 
 def is_orthogonal(c1: CycleQuadruple, c2: CycleQuadruple, ctx: FSCcContext) -> bool:
     """Vanishing pairing; exact for exact inputs, tolerance-scaled otherwise."""
-    value = pairing(c1, c2, ctx)
-    if is_exact(*c1.components(), *c2.components()):
-        return value == 0
-    scale = max(1.0, *(abs(float(x)) for x in c1.components())) * max(
-        1.0, *(abs(float(x)) for x in c2.components())
-    )
-    return abs(value) <= 1e-9 * scale
+    return vanishes(pairing(c1, c2, ctx), c1.components(), c2.components())
 
 
 def ghost_cycle(
@@ -181,12 +175,8 @@ def is_s_orthogonal(
         return True
     imag = _sandwich(cycle, other, ctx.sigma_cycle, ctx.s)[2]
     trace = 2 * int(ctx.sigma_cycle) * ctx.s * ctx.s * imag
-    if is_exact(trace):
-        return trace == 0
-    scale = max(1.0, *(abs(float(x)) for x in cycle.components())) ** 2 * max(
-        1.0, *(abs(float(x)) for x in other.components())
-    )
-    return abs(trace) <= 1e-9 * scale
+    comps = cycle.components()
+    return vanishes(trace, comps, comps, other.components())
 
 
 def s_ghost(

@@ -118,3 +118,20 @@ def test_bad_document_exits_3_in_exact_transform(capsys, tmp_path):
     assert code == 3
     assert "point 0" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "name, param",
+    [
+        ("fig-eph-cycle", "cycle=1,1e300,1,0"),
+        ("fig-zero-radius", "point=1e300,1"),
+        ("fig-eph-cycle", "cycle=1e-300,0,1,0"),
+        ("fig-ortho1", "b=1,1e-300"),
+    ],
+)
+def test_extreme_figure_parameter_is_a_domain_error(capsys, tmp_path, name, param):
+    out_dir = tmp_path / "figs"
+    code, err = run(capsys, ["figure", name, "--out", str(out_dir), "--param", param])
+    assert code == 2
+    assert err.startswith("error: ")
+    assert not out_dir.exists()

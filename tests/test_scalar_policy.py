@@ -1,0 +1,396 @@
+"""The one exact/float policy: the zero test and the constraint solver.
+
+``cycle_from_constraints`` is checked against a test-local copy of the
+solver it replaced, which kept a separate candidate branch per solution
+dimension and threaded a tolerance through each.  That copy ran its
+float systems partly over Fraction; the current solver eliminates float
+systems over float, so the copy's float answers are compared after
+conversion to float.  Everything else must agree in value, in type and
+in the class of the exception raised.
+"""
+
+import math
+from fractions import Fraction
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from cyclekit import (
+    CycleQuadruple,
+    FSCcContext,
+    GroupElement,
+    HasFocus,
+    HasKindCentre,
+    Inconsistent,
+    IsOrthogonalTo,
+    Normalised,
+    PassesThrough,
+    SpaceSign,
+    UnderDetermined,
+    cycle_from_constraints,
+    is_orthogonal,
+    pairing,
+    subgroup_element,
+)
+from cyclekit.cycle import normalized_key
+from cyclekit.numbers import REL_TOL, div, is_exact, vanishes
+
+EXAMPLES = settings(max_examples=300)
+SIGNS = st.sampled_from(list(SpaceSign))
+CONTEXTS = st.builds(FSCcContext, SIGNS, st.sampled_from([1, -1]))
+EXACT = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-4, max_value=4, max_denominator=4),
+)
+FLOAT = st.one_of(EXACT.map(float), st.floats(-4, 4, allow_nan=False))
+
+
+# ---------------------------------------------------------------------------
+# The replaced solver, kept as the reference.
+
+
+def ref_linear_rows(constraint):
+    if isinstance(constraint, PassesThrough):
+        u, v = constraint.point
+        return [([u * u - int(constraint.sigma) * v * v, -2 * u, -2 * v, 1], 0)]
+    if isinstance(constraint, HasKindCentre):
+        u, v = constraint.point
+        return [([-u, 1, 0, 0], 0), ([v, 0, int(constraint.kind), 0], 0)]
+    if isinstance(constraint, HasFocus):
+        u, v = constraint.point
+        return [([-u, 1, 0, 0], 0)]
+    if isinstance(constraint, IsOrthogonalTo):
+        k2, l2, n2, m2 = constraint.cycle.components()
+        sig = int(constraint.ctx.sigma_cycle)
+        s2 = constraint.ctx.s * constraint.ctx.s
+        return [([-m2, 2 * l2, -2 * sig * s2 * n2, -k2], 0)]
+    return [([1, 0, 0, 0], 1)]
+
+
+def ref_residual(constraint, quad):
+    k, l, n, m = quad
+    v = constraint.point[1]
+    return int(constraint.sigma_cycle) * n * n - l * l + m * k - 2 * v * n * k
+
+
+def ref_gauss_solve(rows, rhs, exact):
+    nvars = 4
+    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    if exact:
+        aug = [[Fraction(x) for x in row] for row in aug]
+    tol = 0 if exact else 1e-12
+    scale = 1 if exact else max([1.0] + [abs(x) for row in aug for x in row])
+    pivots = []
+    r = 0
+    for col in range(nvars):
+        pivot_row = None
+        best = tol * scale
+        for i in range(r, len(aug)):
+            if abs(aug[i][col]) > best:
+                pivot_row = i
+                best = abs(aug[i][col])
+                if exact:
+                    break
+        if pivot_row is None:
+            continue
+        aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
+        piv = aug[r][col]
+        aug[r] = [div(x, piv) for x in aug[r]]
+        for i in range(len(aug)):
+            if i != r and aug[i][col] != 0:
+                factor = aug[i][col]
+                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(aug):
+            break
+    for i in range(r, len(aug)):
+        if abs(aug[i][nvars]) > tol * scale:
+            return None
+    particular = [Fraction(0) if exact else 0.0] * nvars
+    for row_idx, col in enumerate(pivots):
+        particular[col] = aug[row_idx][nvars]
+    basis = []
+    for free in [c for c in range(nvars) if c not in pivots]:
+        vec = [Fraction(0) if exact else 0.0] * nvars
+        vec[free] = Fraction(1) if exact else 1.0
+        for row_idx, col in enumerate(pivots):
+            vec[col] = -aug[row_idx][free]
+        basis.append(vec)
+    return particular, basis
+
+
+def ref_solve_quadratic(a, b, c):
+    if a == 0:
+        if b == 0:
+            if c == 0:
+                raise UnderDetermined("identically satisfied")
+            return []
+        return [div(-c, b)]
+    disc = b * b - 4 * a * c
+    if disc < 0:
+        return []
+    if is_exact(a, b, c):
+        frac = Fraction(disc)
+        num, den = math.isqrt(frac.numerator), math.isqrt(frac.denominator)
+        if num * num == frac.numerator and den * den == frac.denominator:
+            root = Fraction(num, den)
+        else:
+            fa, fb, fd = float(a), float(b), float(disc)
+            root = fd**0.5
+            return sorted({(-fb - root) / (2 * fa), (-fb + root) / (2 * fa)})
+    else:
+        root = disc**0.5
+    if disc == 0:
+        return [div(-b, 2 * a)]
+    return sorted([div(-b - root, 2 * a), div(-b + root, 2 * a)])
+
+
+def ref_settle(values):
+    if all(v == 0 for v in values):
+        return None
+    return CycleQuadruple(*values)
+
+
+def ref_quad_ok(constraint, values, tol):
+    res = ref_residual(constraint, values)
+    if tol == 0.0:
+        return res == 0
+    scale = max(1.0, *(abs(float(v)) for v in values)) ** 2
+    return abs(res) <= tol * scale
+
+
+def ref_check_constraints(cand, constraints, tol):
+    if not is_exact(*cand.components()):
+        tol = max(tol, 1e-9)
+    for constraint in constraints:
+        if isinstance(constraint, (HasKindCentre, HasFocus)) and cand.k == 0:
+            return False
+        if isinstance(constraint, HasFocus):
+            if cand.n == 0:
+                return False
+            res = ref_residual(constraint, list(cand.components()))
+            scale = max(1.0, *(abs(float(x)) for x in cand.components()))
+            if (res != 0) if tol == 0 else (abs(res) > tol * scale * scale):
+                return False
+    return True
+
+
+def ref_t_close(t1, t2):
+    if is_exact(t1, t2):
+        return t1 == t2
+    return abs(float(t1) - float(t2)) <= 1e-9 * max(1.0, abs(float(t1)), abs(float(t2)))
+
+
+def ref_solve_on_line(base, direction, quadratics, tol, include_infinity):
+    solutions = []
+    roots_per_q = []
+    for q in quadratics:
+        c0 = ref_residual(q, base)
+        c_plus = ref_residual(q, [x + y for x, y in zip(base, direction)])
+        c_minus = ref_residual(q, [x - y for x, y in zip(base, direction)])
+        a = div(c_plus + c_minus - 2 * c0, 2)
+        b = div(c_plus - c_minus, 2)
+        roots_per_q.append(ref_solve_quadratic(a, b, c0))
+    candidate_ts = roots_per_q[0]
+    for other in roots_per_q[1:]:
+        candidate_ts = [t for t in candidate_ts if any(ref_t_close(t, o) for o in other)]
+    for t in candidate_ts:
+        cand = ref_settle([x + t * y for x, y in zip(base, direction)])
+        if cand is not None:
+            solutions.append(cand)
+    if include_infinity and all(ref_quad_ok(q, list(direction), tol) for q in quadratics):
+        cand = ref_settle(list(direction))
+        if cand is not None:
+            solutions.append(cand)
+    return solutions
+
+
+def ref_scalars(constraint):
+    if isinstance(constraint, (PassesThrough, HasKindCentre, HasFocus)):
+        return tuple(constraint.point)
+    if isinstance(constraint, IsOrthogonalTo):
+        return constraint.cycle.components()
+    return ()
+
+
+def ref_cycle_from_constraints(constraints):
+    exact = all(is_exact(*ref_scalars(c)) for c in constraints)
+    tol = 0.0 if exact else 1e-9
+    rows, rhs = [], []
+    quadratics = [c for c in constraints if isinstance(c, HasFocus)]
+    for constraint in constraints:
+        for coeffs, b in ref_linear_rows(constraint):
+            rows.append(coeffs)
+            rhs.append(b)
+    solved = ref_gauss_solve(rows, rhs, exact)
+    if solved is None:
+        raise Inconsistent("linear")
+    particular, basis = solved
+    dim = len(basis)
+    solutions = []
+    if all(b == 0 for b in rhs):
+        if dim == 0:
+            raise Inconsistent("zero quadruple")
+        if dim == 1:
+            cand = ref_settle(basis[0])
+            if cand is None or not all(
+                ref_quad_ok(q, list(cand.components()), tol) for q in quadratics
+            ):
+                raise Inconsistent("quadratic")
+            solutions = [cand]
+        elif dim == 2 and quadratics:
+            solutions = ref_solve_on_line(basis[1], basis[0], quadratics, tol, True)
+        else:
+            raise UnderDetermined("projective")
+    else:
+        if dim == 0:
+            cand = ref_settle(particular)
+            if cand is None or not all(
+                ref_quad_ok(q, list(cand.components()), tol) for q in quadratics
+            ):
+                raise Inconsistent("quadratic")
+            solutions = [cand]
+        elif dim == 1 and quadratics:
+            solutions = ref_solve_on_line(particular, basis[0], quadratics, tol, False)
+        else:
+            raise UnderDetermined("affine")
+    solutions = [s for s in solutions if ref_check_constraints(s, constraints, tol)]
+    if not solutions:
+        raise Inconsistent("verification")
+    keyed = {}
+    for sol in solutions:
+        keyed[tuple(float(x) for x in normalized_key(sol))] = sol
+    return [keyed[key] for key in sorted(keyed)]
+
+
+# ---------------------------------------------------------------------------
+# Constraint systems
+
+
+@st.composite
+def systems(draw):
+    """A constraint mix, all scalars exact or all float, projective or normalised."""
+    scalar = EXACT if draw(st.booleans()) else FLOAT
+    point = st.tuples(scalar, scalar)
+    cycle = st.tuples(scalar, scalar, scalar, scalar).filter(any).map(
+        lambda comps: CycleQuadruple(*comps)
+    )
+    constraint = st.one_of(
+        st.builds(PassesThrough, point, SIGNS),
+        st.builds(HasKindCentre, point, SIGNS),
+        st.builds(HasFocus, point, SIGNS),
+        st.builds(IsOrthogonalTo, cycle, CONTEXTS),
+    )
+    shape = draw(st.sampled_from(["centre", "focus", "focus2", "orthogonal", "random"]))
+    sigma = draw(SIGNS)
+    if shape == "centre":
+        system = [HasKindCentre(draw(point), draw(SIGNS)), PassesThrough(draw(point), sigma)]
+    elif shape == "focus":
+        system = [HasFocus(draw(point), draw(SIGNS)), PassesThrough(draw(point), sigma)]
+    elif shape == "focus2":
+        # two foci on one vertical share the linear row l = u k
+        u, v1, v2 = draw(scalar), draw(scalar), draw(scalar)
+        system = [
+            HasFocus((u, v1), draw(SIGNS)),
+            HasFocus((u, v2) if draw(st.booleans()) else draw(point), draw(SIGNS)),
+            PassesThrough(draw(point), sigma),
+        ]
+    elif shape == "orthogonal":
+        system = [
+            IsOrthogonalTo(draw(cycle), draw(CONTEXTS)),
+            PassesThrough(draw(point), sigma),
+            PassesThrough(draw(point), sigma),
+        ]
+    else:
+        system = draw(st.lists(constraint, min_size=1, max_size=4))
+    if draw(st.booleans()):
+        system.append(Normalised())
+    return draw(st.permutations(system))
+
+
+def outcome(solver, constraints):
+    try:
+        return solver(constraints)
+    except Exception as exc:  # the class is what is compared
+        return type(exc)
+
+
+def typed(quad):
+    return [(type(x), x) for x in quad.components()]
+
+
+@EXAMPLES
+@given(systems())
+# two parabolic foci on one vertical have no common root; in float mode
+# each focus quadratic alone has a spurious root near t = 1e16 whose
+# residual passes, so only the comparison of the roots rejects it
+@example(
+    [
+        HasFocus((-1.0, -1.0), SpaceSign.PARABOLIC),
+        HasFocus((-1.0, -0.5), SpaceSign.PARABOLIC),
+        PassesThrough((0.5, 0.0), SpaceSign.ELLIPTIC),
+    ]
+)
+def test_solver_matches_the_replaced_solver(constraints):
+    want = outcome(ref_cycle_from_constraints, constraints)
+    got = outcome(cycle_from_constraints, constraints)
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert not isinstance(got, type), got
+    if not all(is_exact(*ref_scalars(c)) for c in constraints):
+        want = [CycleQuadruple(*(float(x) for x in q.components())) for q in want]
+    assert [typed(q) for q in got] == [typed(q) for q in want]
+
+
+# ---------------------------------------------------------------------------
+# The zero test
+
+
+EXACT_CYCLES = st.tuples(EXACT, EXACT, EXACT, EXACT).filter(any).map(
+    lambda comps: CycleQuadruple(*comps)
+)
+FLOAT_GROUPS = st.lists(
+    st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=4),
+    max_size=3,
+)
+
+
+@given(EXACT_CYCLES, EXACT_CYCLES, CONTEXTS)
+def test_exact_zero_test_is_equality(c1, c2, ctx):
+    value = pairing(c1, c2, ctx)
+    assert vanishes(value, c1.components(), c2.components()) is (value == 0)
+    assert is_orthogonal(c1, c2, ctx) is (value == 0)
+
+
+# tiny exact values lie far inside the float bound, yet only 0 vanishes
+@given(st.one_of(EXACT, st.builds(Fraction, st.integers(-9, 9), st.integers(10**10, 10**15))), FLOAT_GROUPS)
+def test_exact_values_ignore_the_groups(value, groups):
+    assert vanishes(value, *groups) is (value == 0)
+
+
+@given(st.floats(-1e-3, 1e-3, allow_nan=False), FLOAT_GROUPS)
+def test_float_zero_test_is_the_documented_bound(value, groups):
+    scale = 1.0
+    for group in groups:
+        scale *= max(1.0, *(abs(x) for x in group))
+    bound = REL_TOL * scale
+    assert vanishes(value, *groups) is (abs(value) <= bound)
+    assert vanishes(bound, *groups) and vanishes(-bound, *groups)
+    assert not vanishes(math.nextafter(bound, math.inf), *groups)
+
+
+def test_float_zero_test_scales_with_the_operands():
+    assert vanishes(0.5e-9)
+    assert not vanishes(2e-9)
+    assert vanishes(2e-9, [3.0])
+    assert vanishes(8e-9, [-3.0], [3.0])
+    assert not vanishes(8e-9, [3.0], [0.5])
+
+
+@given(st.sampled_from(["A", "N", "K"]), st.floats(0.125, 8.0))
+def test_float_subgroup_parameters_give_float_entries(kind, param):
+    g = subgroup_element(kind, param)
+    assert isinstance(g, GroupElement)
+    assert all(type(x) is float for x in g.entries())

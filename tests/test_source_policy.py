@@ -1,0 +1,49 @@
+"""Source rules that keep one exact/float policy, read from the package's syntax trees.
+
+* No module imports another module's ``_private`` name.
+* ``sqrt_exact`` is used only inside ``numbers.py``; elsewhere square
+  roots go through ``scalar_sqrt`` or ``sqrt_or_float``.
+* The tolerance literal ``1e-9`` appears only in ``numbers.py``, as
+  ``REL_TOL``; float zero tests go through ``vanishes``.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import cyclekit
+
+SOURCES = sorted(Path(cyclekit.__file__).parent.glob("*.py"))
+
+
+def tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_private_cross_module_import(path):
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree(path))
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("cyclekit"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_sqrt_exact_and_tolerance_literal_stay_in_numbers(path):
+    if path.name == "numbers.py":
+        return
+    uses = [
+        f"line {node.lineno}"
+        for node in ast.walk(tree(path))
+        if (isinstance(node, ast.Name) and node.id == "sqrt_exact")
+        or (isinstance(node, ast.Attribute) and node.attr == "sqrt_exact")
+        or (isinstance(node, ast.alias) and node.name == "sqrt_exact")
+        or (isinstance(node, ast.Constant) and type(node.value) is float and node.value == 1e-9)
+    ]
+    assert uses == []
+
