@@ -16,24 +16,15 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from functools import partial
 
-from .cycle import CycleQuadruple, FSCcContext, centre, focus
+from .cycle import CycleQuadruple, FSCcContext, centre, focus, similarity_transform
 from .errors import CycleKitError, FocusUndefined, UsageError
 from .hypercomplex import SpaceSign
 from .moebius import INFINITY, Point, mobius_apply, subgroup_element
-from .numbers import fmt12
+from .numbers import fmt12, parse_scalars
 from .relations import common_inverse_point, ghost_cycle, orthogonal_family, s_ghost
-from .cycle import similarity_transform
 from .svgout import CANVAS_PX, CycleSetDocument, CycleStyle, polyline, render_svg
-
-RECIPE_NAMES = (
-    "fig-k-orbits",
-    "fig-eph-cycle",
-    "fig-zero-radius",
-    "fig-ortho1",
-    "fig-ortho2",
-    "fig-distances",
-)
 
 RED = "#c62828"
 BLUE = "#1f4e9c"
@@ -52,14 +43,14 @@ class FigureRecipe:
     parameters: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.name not in RECIPE_NAMES:
+        if self.name not in RECIPES:
             raise UsageError(
-                f"unknown figure {self.name!r}; choose from {', '.join(RECIPE_NAMES)}"
+                f"unknown figure {self.name!r}; choose from {', '.join(RECIPES)}"
             )
-        known = {"cycle", "b", "point"}
+        reads = ", ".join(RECIPES[self.name][1]) or "no parameter"
         for key in self.parameters:
-            if key not in known:
-                raise UsageError(f"unknown figure parameter {key!r}")
+            if key not in RECIPES[self.name][1]:
+                raise UsageError(f"{self.name} reads {reads}, not {key!r}")
 
 
 def run_figure(recipe: FigureRecipe, out_dir: str) -> list[str]:
@@ -69,26 +60,13 @@ def run_figure(recipe: FigureRecipe, out_dir: str) -> list[str]:
     is written, so a bad parameter leaves nothing behind.  Parameters
     that are finite but so extreme that the float geometry overflows or
     underflows (a non-finite coordinate, a division by an underflowed
-    k^2) raise CycleKitError.
+    k^2) raise CycleKitError, here or in ``render_svg``.
     """
-    builder = {
-        "fig-k-orbits": _fig_k_orbits,
-        "fig-eph-cycle": _fig_eph_cycle,
-        "fig-zero-radius": _fig_zero_radius,
-        "fig-ortho1": lambda params: _fig_ortho(params, s_orthogonal=False),
-        "fig-ortho2": lambda params: _fig_ortho(params, s_orthogonal=True),
-        "fig-distances": _fig_distances,
-    }[recipe.name]
+    builder = RECIPES[recipe.name][0]
     try:
         panels = builder(recipe.parameters)
     except (ZeroDivisionError, OverflowError) as exc:
         raise CycleKitError(f"{recipe.name}: parameters out of the float range ({exc})") from exc
-    for panel_name, text in panels:
-        # "%.12g" writes a non-finite float as inf or nan; no other panel text holds these
-        if "inf" in text or "nan" in text:
-            raise CycleKitError(
-                f"{recipe.name}-{panel_name}: parameters give non-finite coordinates"
-            )
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     for panel_name, text in panels:
@@ -99,34 +77,14 @@ def run_figure(recipe: FigureRecipe, out_dir: str) -> list[str]:
     return paths
 
 
-def _param_quadruple(params: dict[str, str], key: str, default: CycleQuadruple) -> CycleQuadruple:
+def _param(params: dict[str, str], key: str, build, names: str, default):
+    """``build(*floats)`` of one comma-separated parameter, or ``default`` when it is absent."""
     if key not in params:
         return default
     try:
-        return CycleQuadruple(*_param_floats(params, key, "k,l,n,m"))
-    except ValueError as exc:  # the zero quadruple
+        return build(*parse_scalars(params[key], False, names))
+    except ValueError as exc:  # a bad scalar, a wrong count or the zero quadruple
         raise UsageError(f"parameter {key!r}: {exc}") from exc
-
-
-def _param_point(params: dict[str, str], key: str, default: tuple[float, float]) -> tuple[float, float]:
-    if key not in params:
-        return default
-    u, v = _param_floats(params, key, "u,v")
-    return (u, v)
-
-
-def _param_floats(params: dict[str, str], key: str, names: str) -> list[float]:
-    """The finite floats of one comma-separated parameter, one per name in ``names``."""
-    text = params[key]
-    try:
-        values = [float(x) for x in text.split(",")]
-    except ValueError:
-        values = []
-    if len(values) != len(names.split(",")):
-        raise UsageError(f"parameter {key!r} needs {names}, got {text!r}")
-    if not all(math.isfinite(x) for x in values):
-        raise UsageError(f"parameter {key!r} must be finite, got {text!r}")
-    return values
 
 
 def _extra_dot(point, colour: str, viewport, scale: float = 3.0) -> str:
@@ -195,7 +153,7 @@ def _fig_k_orbits(params: dict[str, str]):
 
 
 def _fig_eph_cycle(params: dict[str, str]):
-    quad = _param_quadruple(params, "cycle", CycleQuadruple(2.0, 1.0, 2.0, 1.0))
+    quad = _param(params, "cycle", CycleQuadruple, "k,l,n,m", CycleQuadruple(2.0, 1.0, 2.0, 1.0))
     viewport = (-3.0, 4.0, -3.0, 3.0)
     panels = []
     for sigma in _SIGNS:
@@ -218,7 +176,7 @@ def _fig_eph_cycle(params: dict[str, str]):
 def _fig_zero_radius(params: dict[str, str]):
     from .cycle import zero_radius_cycle
 
-    at = _param_point(params, "point", (0.5, 1.0))
+    at = _param(params, "point", lambda u, v: (u, v), "u,v", (0.5, 1.0))
     viewport = (-2.0, 3.0, -2.0, 3.0)
     panels = []
     for sigma_cycle in _SIGNS:
@@ -245,8 +203,8 @@ def _fig_ortho(params: dict[str, str], s_orthogonal: bool):
     For s-orthogonality the pencils are orthogonal to the red cycle's
     s-ghost instead, and the parabolic cycle-space panel is degenerate.
     """
-    red = _param_quadruple(params, "cycle", CycleQuadruple(1.0, 0.0, 1.0, 0.0))
-    b = _param_point(params, "b", (1.0, 1.0))
+    red = _param(params, "cycle", CycleQuadruple, "k,l,n,m", CycleQuadruple(1.0, 0.0, 1.0, 0.0))
+    b = _param(params, "b", lambda u, v: (u, v), "u,v", (1.0, 1.0))
     second = (-1.2, 0.6)
     viewport = (-3.0, 3.0, -3.0, 3.0)
     sigma = SpaceSign.ELLIPTIC
@@ -366,3 +324,15 @@ def _fig_distances(params: dict[str, str]):
     comments = ["shortest route to a line along the perpendicular"]
     panels.append(("c", render_svg(doc, comments, extras)))
     return panels
+
+
+# name -> (builder, the parameters it reads)
+RECIPES = {
+    "fig-k-orbits": (_fig_k_orbits, ()),
+    "fig-eph-cycle": (_fig_eph_cycle, ("cycle",)),
+    "fig-zero-radius": (_fig_zero_radius, ("point",)),
+    "fig-ortho1": (partial(_fig_ortho, s_orthogonal=False), ("cycle", "b")),
+    "fig-ortho2": (partial(_fig_ortho, s_orthogonal=True), ("cycle", "b")),
+    "fig-distances": (_fig_distances, ()),
+}
+RECIPE_NAMES = tuple(RECIPES)

@@ -5,8 +5,10 @@ or approximate (``float``).  A single computation never mixes the two
 modes; the helpers below classify, parse, take guarded square roots and
 format scalars so the rest of the code can stay mode-agnostic.  The
 exact/float policy lives here alone: ``vanishes`` is the one zero test
-(exact equality, or ``REL_TOL`` scaled by the operands' magnitudes) and
-``scalar_sqrt``/``sqrt_or_float`` are the two square-root rules.
+(exact equality, or ``REL_TOL`` scaled by the operands' magnitudes),
+``scalar_sqrt``/``sqrt_or_float`` are the two square-root rules, and
+``parse_scalar`` is the one rule for scalars read from text (the CLI, the
+figure parameters and the JSON document reader).
 """
 
 from __future__ import annotations
@@ -21,6 +23,10 @@ Scalar = Union[int, Fraction, float]
 
 # Relative tolerance of every float zero test (see ``vanishes``).
 REL_TOL = 1e-9
+
+# Largest exponent magnitude ``parse_scalar`` accepts, Python's own digit
+# limit for ``int(str)``: "1e10000000" would keep ``Fraction`` busy for seconds.
+MAX_EXPONENT = 4300
 
 
 def is_exact(*values: Scalar) -> bool:
@@ -61,9 +67,37 @@ def div(a: Scalar, b: Scalar) -> Scalar:
 
 
 def parse_scalar(text: str, exact: bool = True) -> Scalar:
-    """Parse "p/q", integer or decimal notation in the requested mode."""
-    value = Fraction(text.strip())
-    return Fraction(value) if exact else float(value)
+    """Parse "p/q", integer or decimal notation in the requested mode.
+
+    The one rule for scalars read from outside the package.  Raises
+    ``ValueError``, and only that, for malformed text, a zero denominator,
+    an exponent beyond ``MAX_EXPONENT`` (read by ``int``, which takes "_"
+    and non-ASCII digits as ``Fraction`` does, before ``Fraction`` builds
+    ``10**exponent``) and, in float mode, a value beyond the float range.
+    """
+    _, mark, exponent = text.replace("E", "e").rpartition("e")
+    try:
+        if mark and abs(int(exponent)) > MAX_EXPONENT:
+            problem = f"has an exponent beyond {MAX_EXPONENT}"
+        else:
+            value = Fraction(text)
+            return value if exact else float(value)
+    except ZeroDivisionError:
+        problem = "has a zero denominator"
+    except OverflowError:
+        problem = "is beyond the float range"
+    except ValueError:
+        problem = "is not a finite scalar"
+    raise ValueError(f"{text!r} {problem}")
+
+
+def parse_scalars(text: str, exact: bool = True, names: str | None = None) -> list[Scalar]:
+    """The comma-separated scalars of ``text``, one per name in ``names`` ("k,l,n,m")
+    or any number for ``names=None``; a wrong count is a ``ValueError`` too."""
+    parts = text.split(",")
+    if names is not None and len(parts) != names.count(",") + 1:
+        raise ValueError(f"needs {names}, got {len(parts)} scalars")
+    return [parse_scalar(part, exact) for part in parts]
 
 
 def scalar_to_json(value: Scalar):

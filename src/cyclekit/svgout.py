@@ -14,15 +14,20 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 
 from .cycle import CycleQuadruple, FSCcContext, centre, radius_sq
-from .errors import Degenerate
+from .errors import CycleKitError, Degenerate
 from .hypercomplex import SpaceSign
 from .numbers import Scalar, fmt12, parse_scalar, scalar_to_json
 
 CANVAS_PX = 512.0
 HYPERBOLA_SAMPLES = 160
+
+# "%.12g" writes a non-finite float as inf, -inf or nan.  Numbers appear only
+# in attribute values, and stroke and fill values are the caller's colours.
+_NON_FINITE = re.compile(r'="(?<!stroke=")(?<!fill=")[^"]*(?:inf|nan)')
 
 
 @dataclass(frozen=True)
@@ -52,10 +57,16 @@ def parse_document(text: str, exact: bool = False) -> CycleSetDocument:
     """Read the JSON document schema; scalars may be numbers or "p/q".
 
     Malformed JSON raises ``json.JSONDecodeError``.  A document that
-    parses but breaks the schema (a missing key, a scalar that is not
-    finite, the zero quadruple, an empty viewport) raises ``DocumentError``.
+    parses but breaks the schema (a missing key, a scalar ``parse_scalar``
+    rejects, the zero quadruple, an empty viewport, an integer literal
+    longer than ``int`` converts) raises ``DocumentError``.
     """
-    raw = json.loads(text)
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:
+        raise DocumentError(str(exc)) from exc
     sign = _entry(raw, "sigma", "the document")
     try:
         sigma = SpaceSign.parse(sign)
@@ -125,12 +136,9 @@ def _scalar(value, exact: bool, where: str) -> Scalar:
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise DocumentError(f"{where}: {value!r} is not a scalar")
     try:
-        result = parse_scalar(str(value), exact) if exact or isinstance(value, str) else float(value)
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise DocumentError(f"{where}: {value!r} is not a scalar") from exc
-    if isinstance(result, float) and not math.isfinite(result):
-        raise DocumentError(f"{where}: {value!r} is not finite")
-    return result
+        return parse_scalar(str(value), exact)
+    except ValueError as exc:
+        raise DocumentError(f"{where}: {exc}") from exc
 
 
 def render_svg(
@@ -143,7 +151,8 @@ def render_svg(
 
     ``extras`` are raw elements in mathematical coordinates (drawn in the
     flipped group); ``annotations`` are (u, v, text) labels rendered
-    upright.
+    upright.  Geometry that leaves the float range (an overflow, a division
+    by an underflowed value, a non-finite number in extras too) raises CycleKitError.
     """
     umin, umax, vmin, vmax = doc.viewport
     uspan, vspan = umax - umin, vmax - vmin
@@ -172,8 +181,11 @@ def render_svg(
             f'<line x1="0" y1="{fmt12(vmin)}" x2="0" y2="{fmt12(vmax)}" '
             f'stroke="#bbbbbb" stroke-width="{axis_w}"/>'
         )
-    for quad, style in doc.cycles:
-        out.extend(_cycle_elements(quad, style, doc, stroke_w, dot_r))
+    try:
+        for quad, style in doc.cycles:
+            out.extend(_cycle_elements(quad, style, doc, stroke_w, dot_r))
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise CycleKitError(f"the cycle geometry leaves the float range ({exc})") from exc
     for u, v in doc.points:
         out.append(
             f'<circle cx="{fmt12(u)}" cy="{fmt12(v)}" r="{fmt12(1.25 * dot_r)}" '
@@ -188,7 +200,10 @@ def render_svg(
             f'font-size="{fmt12(14 * unit)}" fill="#333333">{text}</text>'
         )
     out.append("</svg>")
-    return "\n".join(out) + "\n"
+    text = "\n".join(out) + "\n"
+    if ("inf" in text or "nan" in text) and _NON_FINITE.search(text):  # cheap test first
+        raise CycleKitError("the geometry leaves the float range: a coordinate is not finite")
+    return text
 
 
 def _stroke_attrs(style: CycleStyle, stroke_w: float) -> str:

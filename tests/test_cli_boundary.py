@@ -1,6 +1,7 @@
 """Bad input at the CLI and document boundary: exit code, one stderr line, no output."""
 
 import json
+import time
 
 import pytest
 
@@ -28,6 +29,8 @@ def run(capsys, argv):
         ["check", "ortho", "--sigma-cycle", "e", "1/0,0,1,0", "1,0,1,0"],
         ["distance", "--sigma", "e", "--float", "1e400,0", "0,0"],
         ["orbit", "--base", "0,1", "--sigma", "e", "--params", "a,1"],
+        ["conformal", "--g", "2,0,0,0.5", "--y", "0.2,1.1", "--kind", "distance", "--sigma", "e", "--t", "nan"],
+        ["conformal", "--g", "2,0,0,0.5", "--y", "0.2,1.1", "--kind", "distance", "--sigma", "e", "--t", "inf"],
     ],
 )
 def test_bad_argv_is_a_usage_error(capsys, argv):
@@ -135,3 +138,106 @@ def test_extreme_figure_parameter_is_a_domain_error(capsys, tmp_path, name, para
     assert code == 2
     assert err.startswith("error: ")
     assert not out_dir.exists()
+
+
+BOMBS = ["1e10000000", "1e1_0000000"]
+
+
+def bomb_argv(tmp_path, where, bomb):
+    if where == "argv":
+        return ["check", "ortho", "--sigma-cycle", "e", f"{bomb},0,1,0", "1,0,1,0"], None
+    if where == "document":
+        doc = dict(GOOD_DOC, cycles=[{"k": 1, "l": bomb, "n": 0, "m": -1}])
+        (tmp_path / "doc.json").write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "out.svg"
+        return ["draw", "--exact", "--in", str(tmp_path / "doc.json"), "--out", str(out)], out
+    out = tmp_path / "figs"
+    return ["figure", "fig-eph-cycle", "--out", str(out), "--param", f"cycle={bomb},0,1,0"], out
+
+
+@pytest.mark.parametrize("bomb", BOMBS)
+@pytest.mark.parametrize("where, code", [("argv", 1), ("document", 3), ("figure", 1)])
+def test_exponent_bomb_is_rejected_at_once(capsys, tmp_path, where, code, bomb):
+    argv, out = bomb_argv(tmp_path, where, bomb)
+    start = time.perf_counter()
+    got, err = run(capsys, argv)
+    assert time.perf_counter() - start < 1.0
+    assert got == code
+    assert "exponent beyond 4300" in err
+    assert out is None or not out.exists()
+
+
+@pytest.mark.parametrize(
+    "cycle, viewport, mode",
+    [
+        ({"k": 1, "l": 1e300, "n": 1, "m": 0}, [-3, 3, -3, 3], "--float"),
+        ({"k": 1e-300, "l": 0, "n": 1, "m": 0}, [-3, 3, -3, 3], "--float"),
+        ({"k": 1, "l": "1e400", "n": 1, "m": 0}, [-3, 3, -3, 3], "--exact"),
+        ({"k": 1, "l": 0, "n": 0, "m": -1}, [-1e308, 1e308, -3, 3], "--float"),
+    ],
+)
+def test_draw_out_of_float_range_is_a_domain_error(capsys, tmp_path, cycle, viewport, mode):
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(dict(GOOD_DOC, cycles=[cycle], viewport=viewport)), encoding="utf-8")
+    out = tmp_path / "out.svg"
+    code, err = run(capsys, ["draw", mode, "--in", str(doc), "--out", str(out)])
+    assert code == 2
+    assert err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["distance", "--sigma", "e", "--float", "1e200,0", "0,0"],
+        ["length", "--kind", "distance", "--sigma", "h", "--float", "0,1e200", "0,0"],
+    ],
+)
+def test_non_finite_json_result_is_a_domain_error(capsys, argv):
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_unused_figure_parameter_is_a_usage_error(capsys, tmp_path):
+    out_dir = tmp_path / "figs"
+    code, err = run(capsys, ["figure", "fig-k-orbits", "--out", str(out_dir), "--param", "cycle=1,2,3,4"])
+    assert code == 1
+    assert err.startswith("usage error: ") and "'cycle'" in err
+    assert not out_dir.exists()
+
+
+def test_ratio_figure_parameter_renders_as_its_decimal(capsys, tmp_path):
+    blobs = []
+    for text in ("2,1/2,2,1", "2,0.5,2,1"):
+        out_dir = tmp_path / text.replace("/", "_")
+        assert cli_main(["figure", "fig-eph-cycle", "--out", str(out_dir), "--param", f"cycle={text}"]) == 0
+        blobs.append([path.read_bytes() for path in sorted(out_dir.iterdir())])
+    assert len(blobs[0]) == 3
+    assert blobs[0] == blobs[1]
+
+
+def test_stroke_containing_inf_still_renders(tmp_path):
+    cycle = {"k": 1, "l": 0, "n": 0, "m": -1, "style": {"stroke": "infrared"}}
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(dict(GOOD_DOC, cycles=[cycle])), encoding="utf-8")
+    out = tmp_path / "out.svg"
+    assert cli_main(["draw", "--in", str(doc), "--out", str(out)]) == 0
+    assert 'stroke="infrared"' in out.read_text(encoding="utf-8")
+
+
+def test_draw_sigma_overrides_the_document_sign(tmp_path):
+    doc = tmp_path / "doc.json"
+    doc.write_text(
+        json.dumps(dict(GOOD_DOC, cycles=[{"k": 1, "l": 0, "n": 1, "m": 0}], points=[])), encoding="utf-8"
+    )
+    texts = {}
+    for sigma in (None, "p"):
+        out = tmp_path / f"{sigma}.svg"
+        argv = ["draw", "--in", str(doc), "--out", str(out)] + (["--sigma", sigma] if sigma else [])
+        assert cli_main(argv) == 0
+        texts[sigma] = out.read_text(encoding="utf-8")
+    # the document's elliptic sign draws a circle; the parabolic override a Bezier parabola
+    assert "<circle" in texts[None] and "<path" not in texts[None]
+    assert "<path" in texts["p"]

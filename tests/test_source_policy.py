@@ -5,6 +5,9 @@
   roots go through ``scalar_sqrt`` or ``sqrt_or_float``.
 * The tolerance literal ``1e-9`` appears only in ``numbers.py``, as
   ``REL_TOL``; float zero tests go through ``vanishes``.
+* Outside ``numbers.py`` no module names ``isfinite`` or passes
+  ``type=float`` to ``add_argument``: text becomes a scalar only through
+  ``parse_scalar``, which rejects what is not finite.
 """
 
 import ast
@@ -47,3 +50,26 @@ def test_sqrt_exact_and_tolerance_literal_stay_in_numbers(path):
     ]
     assert uses == []
 
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_scalars_from_text_only_through_parse_scalar(path):
+    if path.name == "numbers.py":
+        return
+    uses = [
+        f"line {node.lineno}"
+        for node in ast.walk(tree(path))
+        if (isinstance(node, ast.Name) and node.id == "isfinite")
+        or (isinstance(node, ast.Attribute) and node.attr == "isfinite")
+        or (isinstance(node, ast.alias) and node.name == "isfinite")
+        or (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "add_argument"
+            and any(
+                kw.arg == "type" and isinstance(kw.value, ast.Name) and kw.value.id == "float"
+                for kw in node.keywords
+            )
+        )
+    ]
+    assert uses == []
