@@ -5,7 +5,9 @@ problem, 2 domain error (zero divisors, degenerate configurations,
 unsolvable constraint systems), 3 input/output failure or a document
 that breaks the JSON schema.  Value-producing cycle and point commands
 print bare comma-separated scalars; check, distance, length, perp and
-conformal print single-line strict JSON (a non-finite result exits 2).
+conformal print single-line strict JSON.  A result with no text form (a
+non-finite JSON value, or an exact integer beyond Python's 4,300-digit
+limit) exits 2 before anything is printed or written.
 Every scalar argument is read by ``numbers.parse_scalar`` and every sign
 by ``SpaceSign.parse``; either's ``ValueError`` is a usage error.
 """
@@ -70,19 +72,26 @@ def _point(text: str, exact: bool):
     return _parse(lambda u, v: (u, v), text, exact, "point", "u,v")
 
 
-def _emit(payload) -> None:
-    """Print one line of strict JSON; a result JSON cannot hold (inf, nan) is a domain error."""
+def _text(render, *args, **kwargs) -> str:
+    """``render(*args, **kwargs)``; a result with no text form is a domain error: a
+    non-finite value in strict JSON, or an integer beyond Python's 4,300-digit limit."""
     try:
-        text = json.dumps(payload, allow_nan=False)
+        return render(*args, **kwargs)
     except ValueError as exc:
-        raise CycleKitError(f"result has no JSON form: {exc}") from exc
-    print(text)
+        raise CycleKitError(f"result has no text form: {exc}") from exc
+
+
+def _emit(payload) -> None:
+    """Print one line of strict JSON."""
+    print(_text(json.dumps, payload, allow_nan=False))
+
+
+def _scalars_text(values) -> str:
+    return ",".join(scalar_repr(x) for x in values)
 
 
 def _point_text(point) -> str:
-    if point is INFINITY:
-        return "INFINITY"
-    return f"{scalar_repr(point.u)},{scalar_repr(point.v)}"
+    return "INFINITY" if point is INFINITY else _scalars_text((point.u, point.v))
 
 
 def _add_mode_flags(sub, default_exact: bool):
@@ -244,9 +253,9 @@ def _dispatch(args) -> int:
             image = mobius_apply(g, Point(u, v), doc.sigma)
             if image is not INFINITY:
                 points.append((image.u, image.v))
-        out_doc = CycleSetDocument(doc.sigma, cycles, points, doc.viewport)
+        text = _text(document_to_json, CycleSetDocument(doc.sigma, cycles, points, doc.viewport))
         with open(args.outfile, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(document_to_json(out_doc) + "\n")
+            handle.write(text + "\n")
         return 0
 
     if command == "check":
@@ -263,14 +272,14 @@ def _dispatch(args) -> int:
     if command in ("ghost", "sghost"):
         ghost = ghost_cycle if command == "ghost" else s_ghost
         result = ghost(_quadruple(args.cycle, exact), args.sigma, args.sigma_cycle)
-        print(",".join(scalar_repr(x) for x in result.components()))
+        print(_text(_scalars_text, result.components()))
         return 0
 
     if command == "invert":
         ctx = FSCcContext(args.sigma_cycle, args.s)
         cycle = _quadruple(args.cycle, exact)
         point = _point(args.point, exact)
-        print(_point_text(invert_point(cycle, point, ctx)))
+        print(_text(_point_text, invert_point(cycle, point, ctx)))
         return 0
 
     if command == "distance":
@@ -321,8 +330,8 @@ def _dispatch(args) -> int:
     if command == "orbit":
         base = _point(args.base, exact)
         params = _parse(lambda *ts: list(ts), args.params, exact, "parameter list")
-        for image in k_orbit(Point(*base), args.sigma, params):
-            print(_point_text(image))
+        images = k_orbit(Point(*base), args.sigma, params)
+        print(_text("\n".join, map(_point_text, images)))
         return 0
 
     raise UsageError(f"unknown command {command!r}")

@@ -206,7 +206,7 @@ def focus(cycle: CycleQuadruple, sigma_cycle: SpaceSign) -> Point:
 def zero_radius_cycle(at: tuple[Scalar, Scalar], ctx: FSCcContext) -> CycleQuadruple:
     """(1, x, y, x^2 - sigma_cycle*y^2): the isotropic cycle centred at (x, y)."""
     x, y = at
-    one = 1.0 if isinstance(x, float) or isinstance(y, float) else 1
+    one = 1 if is_exact(x, y) else 1.0
     return CycleQuadruple(one, x, y, x * x - int(ctx.sigma_cycle) * y * y)
 
 

@@ -3,8 +3,8 @@
 The squared distance u^2 - sigma*v^2 may be negative in the hyperbolic
 plane and is returned as-is.  Lengths are squared radii of cycles
 anchored at the start of a directed interval, so reversing an interval
-can change the answer.  Perpendicularity is a local-extremum statement
-probed with symmetric finite differences.
+can change the answer.  Perpendicularity is stationarity of the length,
+decided from its closed-form derivative in the input's scalar mode.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .errors import (
 )
 from .hypercomplex import SpaceSign
 from .moebius import GroupElement, Point, mobius_apply
-from .numbers import REL_TOL, Scalar
+from .numbers import REL_TOL, Scalar, div, vanishes
 
 
 @dataclass(frozen=True)
@@ -179,11 +179,6 @@ def length(interval: DirectedInterval, kind: LengthKind) -> list[Scalar]:
     return sorted(values, key=float)
 
 
-def _first_branch(interval: DirectedInterval, kind: LengthKind) -> tuple[float, int]:
-    values = length(interval, kind)
-    return float(values[0]), len(values)
-
-
 def is_perpendicular(
     interval: DirectedInterval,
     direction: tuple[Scalar, Scalar],
@@ -191,38 +186,43 @@ def is_perpendicular(
     h: float = 1e-5,
     tol: float = REL_TOL,
 ) -> bool:
-    """Local extremum of the first length branch under endpoint shifts.
+    """Whether the first length branch is stationary as B moves along ``direction``.
 
-    Probes eps -> length(A -> B + eps*direction) at +-h: the symmetric
-    difference must vanish within tol and the second difference must
-    show genuine curvature (a flat function counts as an extremum).
+    The directional derivative at B comes from the closed-form gradient in
+    B, in the input's own scalar mode, and is tested with
+    ``numbers.vanishes``.  With D = B - A the gradient is (2 Du, -2 sigma Dv)
+    for Distance, (2 Du, 2 sigma_cycle A_v - 2 sigma B_v) for FromCentre and,
+    for FromFocus, whose first branch is -2 A_v n with n a root of
+    sigma_cycle n^2 + 2 (B_v - A_v) n + sigma B_v^2 - Du^2 = 0,
+    -2 A_v (Du, -(n + sigma B_v)) / (sigma_cycle n + B_v - A_v).  An
+    irrational root is a float (``sqrt_or_float``), and so is that verdict.
+    Where the derivative is 0 the second one is nonzero (an extremum) or
+    zero (a flat length, which counts too), so it needs no test.  ``h`` and
+    ``tol`` no longer affect the result.  Raises BranchInstability where
+    the length is undefined at B or two focus branches meet there.
     """
-    du, dv = float(direction[0]), float(direction[1])
+    du, dv = direction
     if du == 0 and dv == 0:
         raise ValueError("direction must be nonzero")
-    a = (float(interval.a[0]), float(interval.a[1]))
-    bu, bv = float(interval.b[0]), float(interval.b[1])
-
-    def probe(eps: float) -> tuple[float, int]:
-        moved = DirectedInterval(a, (bu + eps * du, bv + eps * dv))
-        try:
-            return _first_branch(moved, kind)
-        except (Inconsistent, DegenerateFocalPoint) as exc:
-            raise BranchInstability(f"length branch vanished at eps={eps}") from exc
-
-    f_minus, n_minus = probe(-h)
-    f_zero, n_zero = probe(0.0)
-    f_plus, n_plus = probe(h)
-    if not (n_minus == n_zero == n_plus):
-        raise BranchInstability("branch count changed inside the probing window")
-    scale = max(1.0, abs(f_minus), abs(f_zero), abs(f_plus))
-    symmetric = abs(f_plus - f_minus) / (2.0 * h)
-    if symmetric > tol * scale:
-        return False
-    second = f_plus + f_minus - 2.0 * f_zero
-    curved = abs(second) > 1e-13 * scale
-    flat = abs(f_plus - f_zero) <= 1e-12 * scale and abs(f_minus - f_zero) <= 1e-12 * scale
-    return curved or flat
+    try:
+        first = length(interval, kind)[0]
+    except (Inconsistent, DegenerateFocalPoint) as exc:
+        raise BranchInstability("the length is undefined at the endpoint") from exc
+    (au, av), (bu, bv) = interval.a, interval.b
+    sigma = int(kind.sigma)
+    if isinstance(kind, Distance):
+        grad = (2 * (bu - au), -2 * sigma * (bv - av))
+    elif isinstance(kind, FromCentre):
+        grad = (2 * (bu - au), 2 * int(kind.sigma_cycle) * av - 2 * sigma * bv)
+    else:
+        n = div(first, -2 * av)
+        sigma_n = int(kind.sigma_cycle) * n
+        meet = sigma_n + bv - av
+        if vanishes(meet, (sigma_n, bv, av)):
+            raise BranchInstability("two length branches meet at the endpoint")
+        factor = div(-2 * av, meet)
+        grad = (factor * (bu - au), -factor * (n + sigma * bv))
+    return vanishes(grad[0] * du + grad[1] * dv, grad, direction)
 
 
 def conformality_ratios(
@@ -248,13 +248,10 @@ def conformality_ratios(
         shifted_image = mobius_apply(g, shifted, sigma)
         if not isinstance(shifted_image, Point):
             raise CycleKitError("shifted point maps to INFINITY")
-        denom, _ = _first_branch(
-            DirectedInterval((base.u, base.v), (shifted.u, shifted.v)), kind
-        )
-        numer, _ = _first_branch(
-            DirectedInterval((image.u, image.v), (shifted_image.u, shifted_image.v)),
-            kind,
-        )
+        before = DirectedInterval((base.u, base.v), (shifted.u, shifted.v))
+        after = DirectedInterval((image.u, image.v), (shifted_image.u, shifted_image.v))
+        denom = float(length(before, kind)[0])
+        numer = float(length(after, kind)[0])
         if denom == 0:
             raise CycleKitError("degenerate direction: zero base length")
         quotient = numer / denom

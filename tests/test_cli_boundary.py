@@ -1,6 +1,7 @@
 """Bad input at the CLI and document boundary: exit code, one stderr line, no output."""
 
 import json
+import sys
 import time
 
 import pytest
@@ -198,6 +199,46 @@ def test_non_finite_json_result_is_a_domain_error(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+needs_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="this Python prints integers of any length"
+)
+
+
+@needs_digit_limit
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ghost", "--sigma", "e", "--sigma-cycle", "h", "1e4300,0,1,0"],
+        ["invert", "--sigma-cycle", "e", "1,0,0,-1", "1e4300,0"],
+        ["orbit", "--exact", "--base", "1,1", "--sigma", "e", "--params", "0,1e4300"],
+    ],
+)
+def test_exact_result_beyond_the_digit_limit_is_a_domain_error(capsys, argv):
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("existing", [False, True])
+def test_transform_beyond_the_digit_limit_leaves_the_output_alone(capsys, tmp_path, existing):
+    doc = tmp_path / "doc.json"
+    cycle = {"k": 1, "l": "1e4300", "n": 0, "m": -1}
+    doc.write_text(json.dumps(dict(GOOD_DOC, cycles=[cycle])), encoding="utf-8")
+    out = tmp_path / "out.json"
+    if existing:
+        out.write_text("previous\n", encoding="utf-8")
+    argv = ["transform", "--exact", "--g", "1,0,0,1", "--in", str(doc), "--out", str(out)]
+    code, err = run(capsys, argv)
+    assert code == 2
+    assert err.startswith("error: ")
+    if existing:
+        assert out.read_text(encoding="utf-8") == "previous\n"
+    else:
+        assert not out.exists()
 
 
 def test_unused_figure_parameter_is_a_usage_error(capsys, tmp_path):

@@ -1,11 +1,16 @@
 import random
 import warnings
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import ALL_SIGNS, rand_fraction, rand_group_float
 from cyclekit import (
+    BranchInstability,
+    CycleKitError,
     DegenerateFocalPoint,
     DirectedInterval,
     Distance,
@@ -22,6 +27,7 @@ from cyclekit import (
     length,
     variational_distance_oracle,
 )
+from cyclekit.cli import cli_main
 
 E, P, H = ALL_SIGNS
 
@@ -134,6 +140,132 @@ def test_perpendicular_parabolic_rule():
     iv = DirectedInterval((0, 0), (2, 1))
     assert is_perpendicular(iv, (0, 5), Distance(P))
     assert not is_perpendicular(iv, (1, 1), Distance(P))
+
+
+RATIONAL = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 6))
+NONZERO = RATIONAL.filter(bool)
+POINT = st.tuples(RATIONAL, RATIONAL)
+DIRECTION = POINT.filter(any)
+SIGNS = st.sampled_from(ALL_SIGNS)
+
+
+def _moved(b, d, t):
+    return (b[0] + t * d[0], b[1] + t * d[1])
+
+
+@settings(max_examples=300)
+@given(SIGNS, st.sampled_from((E, H)), st.booleans(), POINT, POINT, DIRECTION, NONZERO, st.booleans())
+def test_distance_and_centre_verdict_is_the_exact_derivative(
+    sigma, sigma_cycle, from_centre, a, b, d, r, perpendicular
+):
+    kind = FromCentre(sigma, sigma_cycle) if from_centre else Distance(sigma)
+
+    def slope(direction):
+        # the length is quadratic in B, so this symmetric difference is its exact derivative
+        plus = length(DirectedInterval(a, _moved(b, direction, 1)), kind)[0]
+        minus = length(DirectedInterval(a, _moved(b, direction, -1)), kind)[0]
+        return (plus - minus) / 2
+
+    if perpendicular:
+        gu, gv = slope((1, 0)), slope((0, 1))
+        if gu or gv:
+            d = (-gv * r, gu * r)
+    assert is_perpendicular(DirectedInterval(a, b), d, kind) == (slope(d) == 0)
+
+
+def _focus_slope(a, b, d, sigma, sigma_cycle, n0) -> Decimal:
+    """Difference quotient, at 50 digits, of the first focus length along d.
+
+    At B +- eps*d the root nearest n0 of the focus quadratic
+    sigma_cycle n^2 + 2 (B_v - A_v) n + sigma B_v^2 - (B_u - A_u)^2 = 0
+    fixes the cycle (1, A_u, n, m) through the moved point, and the
+    length is its squared radius -det.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+
+        def dec(x):
+            x = Fraction(x)
+            return Decimal(x.numerator) / Decimal(x.denominator)
+
+        s, sc = int(sigma), int(sigma_cycle)
+        au, av = dec(a[0]), dec(a[1])
+        near = Decimal(n0) if isinstance(n0, float) else dec(n0)
+
+        def length_at(t):
+            bu, bv = dec(b[0]) + t * dec(d[0]), dec(b[1]) + t * dec(d[1])
+            qa, qb, qc = Decimal(sc), 2 * (bv - av), s * bv * bv - (bu - au) ** 2
+            if sc == 0:
+                n = -qc / qb
+            else:
+                root = (qb * qb - 4 * qa * qc).sqrt()
+                n = min(((-qb - root) / (2 * qa), (-qb + root) / (2 * qa)), key=lambda x: abs(x - near))
+            m = -(bu * bu - s * bv * bv) + 2 * bu * au + 2 * bv * n
+            return -(sc * n * n - au * au + m)
+
+        eps = Decimal("1e-20")
+        return (length_at(eps) - length_at(-eps)) / (2 * eps)
+
+
+@settings(max_examples=300)
+@given(SIGNS, SIGNS, st.booleans(), POINT, POINT, RATIONAL, NONZERO, DIRECTION, NONZERO, st.booleans())
+def test_focus_verdict_is_the_decimal_derivative(
+    sigma, sigma_cycle, rational_root, a, b, l, n, d, r, perpendicular
+):
+    s, sc = int(sigma), int(sigma_cycle)
+    if rational_root:
+        # the cycle (1, l, n, m) through b, asked back from its focus, has the root n
+        m = -(b[0] ** 2 - s * b[1] ** 2) + 2 * l * b[0] + 2 * n * b[1]
+        det = sc * n * n - l * l + m
+        assume(det != 0)
+        a = (l, det / (2 * n))
+    kind = FromFocus(sigma, sigma_cycle)
+    interval = DirectedInterval(a, b)
+    try:
+        first = length(interval, kind)[0]
+    except CycleKitError:
+        with pytest.raises(CycleKitError):
+            is_perpendicular(interval, d, kind)
+        return
+    du = b[0] - a[0]
+    half_b, c = b[1] - a[1], s * b[1] ** 2 - du * du
+    if sc and half_b * half_b - sc * c == 0:  # a double root: two branches meet at b
+        with pytest.raises(BranchInstability):
+            is_perpendicular(interval, d, kind)
+        return
+    n0 = first / (-2 * a[1])
+    if perpendicular and not isinstance(n0, float) and (n0 + s * b[1] or du):
+        # (F_bv, -F_bu) of the focus quadratic F keeps its root to first order
+        d = (2 * (n0 + s * b[1]) * r, 2 * du * r)
+    exact_zero = abs(_focus_slope(a, b, d, sigma, sigma_cycle, n0)) < Decimal("1e-15")
+    assert is_perpendicular(interval, d, kind) == exact_zero
+
+
+def test_perp_cli_decides_exact_input_exactly(capsys):
+    # length 9/4 with gradient (-11, -20): the derivative (-11)(20) + (-20)(-11) is 0
+    argv = ["perp", "--kind", "centre", "--sigma", "e", "--sigma-cycle", "h",
+            "--a=3,-8", "--b=-5/2,-2", "--dir=20,-11", "--exact"]
+    assert cli_main(argv) == 0
+    assert capsys.readouterr().out == '{"perpendicular": true}\n'
+
+
+def test_perpendicular_from_focus_pinned():
+    # lengths [88, 168]; the first branch's gradient (-104/5, 72/5) is orthogonal to (9, 13)
+    interval = DirectedInterval((Fraction(-11, 2), 4), (Fraction(15, 2), 20))
+    kind = FromFocus(H, H)
+    assert is_perpendicular(interval, (9, 13), kind)
+    assert is_perpendicular(interval, (9, 13), kind, h=1.0, tol=0.0)
+    assert not is_perpendicular(interval, (13, -9), kind)
+    # a slope of -104/5 * 10^-12: zero to any float tolerance, but not exactly
+    assert not is_perpendicular(interval, (9 + Fraction(1, 10**12), 13), kind)
+
+
+def test_perpendicular_raises_where_focus_branches_meet():
+    # -n^2 - n - 1/4 = 0 has the double root n = -1/2 at b: the length is 1, with no derivative
+    interval = DirectedInterval((0, 1), (0, Fraction(1, 2)))
+    assert length(interval, FromFocus(E, E)) == [1]
+    with pytest.raises(BranchInstability):
+        is_perpendicular(interval, (1, 0), FromFocus(E, E))
 
 
 def test_conformality_identity_and_dilation():

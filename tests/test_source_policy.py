@@ -8,6 +8,9 @@
 * Outside ``numbers.py`` no module names ``isfinite`` or passes
   ``type=float`` to ``add_argument``: text becomes a scalar only through
   ``parse_scalar``, which rejects what is not finite.
+* Outside ``numbers.py`` no module calls ``isinstance(x, float)`` with
+  bare ``float``: the scalar mode is read through ``numbers.is_exact``
+  and its siblings.
 """
 
 import ast
@@ -51,7 +54,6 @@ def test_sqrt_exact_and_tolerance_literal_stay_in_numbers(path):
     assert uses == []
 
 
-
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_scalars_from_text_only_through_parse_scalar(path):
     if path.name == "numbers.py":
@@ -71,5 +73,22 @@ def test_scalars_from_text_only_through_parse_scalar(path):
                 for kw in node.keywords
             )
         )
+    ]
+    assert uses == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_scalar_mode_is_read_only_in_numbers(path):
+    if path.name == "numbers.py":
+        return
+    uses = [
+        f"line {node.lineno}"
+        for node in ast.walk(tree(path))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "isinstance"
+        and len(node.args) == 2
+        and isinstance(node.args[1], ast.Name)
+        and node.args[1].id == "float"
     ]
     assert uses == []
