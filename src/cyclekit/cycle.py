@@ -15,7 +15,6 @@ cycle-space sign.  Signs travel separately in an FSCcContext.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -30,20 +29,21 @@ from .errors import (
 from .hypercomplex import HNumber, SpaceSign, h_real
 from .moebius import INFINITY, GroupElement, Point, PointOrInfinity
 from .numbers import REL_TOL, Scalar, div, is_exact, scalar_sqrt, sqrt_or_float, vanishes
+from .value import Value
 
 
-@dataclass(frozen=True)
-class CycleQuadruple:
+class CycleQuadruple(Value):
     """Homogeneous coordinates (k, l, n, m) of one cycle."""
 
-    k: Scalar
-    l: Scalar
-    n: Scalar
-    m: Scalar
+    __slots__ = ("k", "l", "n", "m")
 
-    def __post_init__(self):
-        if self.k == 0 and self.l == 0 and self.n == 0 and self.m == 0:
+    def __init__(self, k: Scalar, l: Scalar, n: Scalar, m: Scalar):
+        if k == 0 and l == 0 and n == 0 and m == 0:
             raise ValueError("the zero quadruple is not a cycle")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
 
     def components(self) -> tuple[Scalar, Scalar, Scalar, Scalar]:
         return (self.k, self.l, self.n, self.m)
@@ -63,30 +63,32 @@ class CycleQuadruple:
 REAL_LINE = CycleQuadruple(0, 0, 1, 0)
 
 
-@dataclass(frozen=True)
-class FSCcContext:
+class FSCcContext(Value):
     """Cycle-space sign and the +-1 parameter scaling the imaginary part."""
 
-    sigma_cycle: SpaceSign
-    s: int = 1
+    __slots__ = ("sigma_cycle", "s")
 
-    def __post_init__(self):
-        if self.s not in (1, -1):
-            raise ValueError(f"s must be +1 or -1, got {self.s}")
+    def __init__(self, sigma_cycle: SpaceSign, s: int = 1):
+        if s not in (1, -1):
+            raise ValueError(f"s must be +1 or -1, got {s}")
+        object.__setattr__(self, "sigma_cycle", sigma_cycle)
+        object.__setattr__(self, "s", s)
 
 
-@dataclass(frozen=True)
-class FSCcMatrix:
+class FSCcMatrix(Value):
     """2x2 matrix ((l+i*s*n, -m), (k, -l+i*s*n)) over the cycle-space algebra."""
 
-    a11: HNumber
-    a12: HNumber
-    a21: HNumber
-    a22: HNumber
-    context: FSCcContext
+    __slots__ = ("a11", "a12", "a21", "a22", "context")
 
-    def __post_init__(self):
-        _require_shape(self.a11, self.a12, self.a21, self.a22)
+    def __init__(
+        self, a11: HNumber, a12: HNumber, a21: HNumber, a22: HNumber, context: FSCcContext
+    ):
+        _require_shape(a11, a12, a21, a22)
+        object.__setattr__(self, "a11", a11)
+        object.__setattr__(self, "a12", a12)
+        object.__setattr__(self, "a21", a21)
+        object.__setattr__(self, "a22", a22)
+        object.__setattr__(self, "context", context)
 
     def entries(self) -> tuple[HNumber, HNumber, HNumber, HNumber]:
         return (self.a11, self.a12, self.a21, self.a22)
@@ -300,41 +302,50 @@ def normalized_key(cycle: CycleQuadruple) -> tuple:
 # Constraint solver
 
 
-@dataclass(frozen=True)
-class PassesThrough:
+class PassesThrough(Value):
     """Incidence with a finite point in the given point-space sign."""
 
-    point: tuple[Scalar, Scalar]
-    sigma: SpaceSign
+    __slots__ = ("point", "sigma")
+
+    def __init__(self, point: tuple[Scalar, Scalar], sigma: SpaceSign):
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "sigma", sigma)
 
 
-@dataclass(frozen=True)
-class HasKindCentre:
+class HasKindCentre(Value):
     """Centre of the given kind at a finite point (needs k != 0)."""
 
-    point: tuple[Scalar, Scalar]
-    kind: SpaceSign
+    __slots__ = ("point", "kind")
+
+    def __init__(self, point: tuple[Scalar, Scalar], kind: SpaceSign):
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "kind", kind)
 
 
-@dataclass(frozen=True)
-class HasFocus:
+class HasFocus(Value):
     """Focus for the given cycle-space sign at a finite point."""
 
-    point: tuple[Scalar, Scalar]
-    sigma_cycle: SpaceSign
+    __slots__ = ("point", "sigma_cycle")
+
+    def __init__(self, point: tuple[Scalar, Scalar], sigma_cycle: SpaceSign):
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "sigma_cycle", sigma_cycle)
 
 
-@dataclass(frozen=True)
-class IsOrthogonalTo:
+class IsOrthogonalTo(Value):
     """Vanishing trace pairing with a fixed cycle."""
 
-    cycle: CycleQuadruple
-    ctx: FSCcContext
+    __slots__ = ("cycle", "ctx")
+
+    def __init__(self, cycle: CycleQuadruple, ctx: FSCcContext):
+        object.__setattr__(self, "cycle", cycle)
+        object.__setattr__(self, "ctx", ctx)
 
 
-@dataclass(frozen=True)
-class Normalised:
+class Normalised(Value):
     """Affine chart k = 1."""
+
+    __slots__ = ()
 
 
 Constraint = PassesThrough | HasKindCentre | HasFocus | IsOrthogonalTo | Normalised

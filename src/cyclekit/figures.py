@@ -15,16 +15,23 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
 from functools import partial
 
-from .cycle import CycleQuadruple, FSCcContext, centre, focus, similarity_transform
+from .cycle import (
+    CycleQuadruple,
+    FSCcContext,
+    centre,
+    focus,
+    similarity_transform,
+    zero_radius_cycle,
+)
 from .errors import CycleKitError, FocusUndefined, UsageError
 from .hypercomplex import SpaceSign
 from .moebius import INFINITY, Point, mobius_apply, subgroup_element
 from .numbers import fmt12, parse_scalars
 from .relations import common_inverse_point, ghost_cycle, orthogonal_family, s_ghost
 from .svgout import CANVAS_PX, CycleSetDocument, CycleStyle, polyline, render_svg
+from .value import Value
 
 RED = "#c62828"
 BLUE = "#1f4e9c"
@@ -35,22 +42,22 @@ ORANGE = "#e07b00"
 _SIGNS = (SpaceSign.ELLIPTIC, SpaceSign.PARABOLIC, SpaceSign.HYPERBOLIC)
 
 
-@dataclass(frozen=True)
-class FigureRecipe:
+class FigureRecipe(Value):
     """A named figure with optional name=value parameter overrides."""
 
-    name: str
-    parameters: dict[str, str] = field(default_factory=dict)
+    __slots__ = ("name", "parameters")
 
-    def __post_init__(self):
-        if self.name not in RECIPES:
-            raise UsageError(
-                f"unknown figure {self.name!r}; choose from {', '.join(RECIPES)}"
-            )
-        reads = ", ".join(RECIPES[self.name][1]) or "no parameter"
-        for key in self.parameters:
-            if key not in RECIPES[self.name][1]:
-                raise UsageError(f"{self.name} reads {reads}, not {key!r}")
+    def __init__(self, name: str, parameters: dict[str, str] | None = None):
+        if parameters is None:
+            parameters = {}
+        if name not in RECIPES:
+            raise UsageError(f"unknown figure {name!r}; choose from {', '.join(RECIPES)}")
+        reads = ", ".join(RECIPES[name][1]) or "no parameter"
+        for key in parameters:
+            if key not in RECIPES[name][1]:
+                raise UsageError(f"{name} reads {reads}, not {key!r}")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "parameters", parameters)
 
 
 def run_figure(recipe: FigureRecipe, out_dir: str) -> list[str]:
@@ -174,8 +181,6 @@ def _fig_eph_cycle(params: dict[str, str]):
 
 
 def _fig_zero_radius(params: dict[str, str]):
-    from .cycle import zero_radius_cycle
-
     at = _param(params, "point", lambda u, v: (u, v), "u,v", (0.5, 1.0))
     viewport = (-2.0, 3.0, -2.0, 3.0)
     panels = []

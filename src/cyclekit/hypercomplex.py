@@ -9,11 +9,11 @@ are pure functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
 
 from .errors import ZeroDivisor
 from .numbers import Scalar, div, zero_like
+from .value import Value
 
 _LETTERS = {"e": -1, "p": 0, "h": 1}
 
@@ -45,13 +45,15 @@ PARABOLIC = SpaceSign.PARABOLIC
 HYPERBOLIC = SpaceSign.HYPERBOLIC
 
 
-@dataclass(frozen=True)
-class HNumber:
+class HNumber(Value):
     """One number re + i*im over the algebra selected by sign."""
 
-    re: Scalar
-    im: Scalar
-    sign: SpaceSign
+    __slots__ = ("re", "im", "sign")
+
+    def __init__(self, re: Scalar, im: Scalar, sign: SpaceSign):
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
+        object.__setattr__(self, "sign", sign)
 
     def _check(self, other: "HNumber") -> None:
         if self.sign != other.sign:

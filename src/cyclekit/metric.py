@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 from .cycle import (
     CycleQuadruple,
@@ -34,34 +33,43 @@ from .errors import (
 from .hypercomplex import SpaceSign
 from .moebius import GroupElement, Point, mobius_apply
 from .numbers import REL_TOL, Scalar, div, vanishes
+from .value import Value
 
 
-@dataclass(frozen=True)
-class DirectedInterval:
+class DirectedInterval(Value):
     """Ordered pair of finite points; reversal is a different interval."""
 
-    a: tuple[Scalar, Scalar]
-    b: tuple[Scalar, Scalar]
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: tuple[Scalar, Scalar], b: tuple[Scalar, Scalar]):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     def reversed(self) -> "DirectedInterval":
         return DirectedInterval(self.b, self.a)
 
 
-@dataclass(frozen=True)
-class Distance:
-    sigma: SpaceSign
+class Distance(Value):
+    __slots__ = ("sigma",)
+
+    def __init__(self, sigma: SpaceSign):
+        object.__setattr__(self, "sigma", sigma)
 
 
-@dataclass(frozen=True)
-class FromCentre:
-    sigma: SpaceSign
-    sigma_cycle: SpaceSign
+class FromCentre(Value):
+    __slots__ = ("sigma", "sigma_cycle")
+
+    def __init__(self, sigma: SpaceSign, sigma_cycle: SpaceSign):
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "sigma_cycle", sigma_cycle)
 
 
-@dataclass(frozen=True)
-class FromFocus:
-    sigma: SpaceSign
-    sigma_cycle: SpaceSign
+class FromFocus(Value):
+    __slots__ = ("sigma", "sigma_cycle")
+
+    def __init__(self, sigma: SpaceSign, sigma_cycle: SpaceSign):
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "sigma_cycle", sigma_cycle)
 
 
 LengthKind = Distance | FromCentre | FromFocus

@@ -10,11 +10,10 @@ needs trigonometry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import NotAKOrbit
 from .hypercomplex import SpaceSign
 from .numbers import Scalar, div, is_exact, one_like, scalar_sqrt, sqrt_or_float, zero_like
+from .value import Value
 
 
 class _Infinity:
@@ -34,12 +33,14 @@ class _Infinity:
 INFINITY = _Infinity()
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(Value):
     """Finite point (u, v) of a plane."""
 
-    u: Scalar
-    v: Scalar
+    __slots__ = ("u", "v")
+
+    def __init__(self, u: Scalar, v: Scalar):
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
 
     def __iter__(self):
         return iter((self.u, self.v))
@@ -48,8 +49,7 @@ class Point:
 PointOrInfinity = Point | _Infinity
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(Value):
     """Real 2x2 matrix, normalised to determinant one on construction.
 
     Construction accepts any matrix with positive determinant and divides
@@ -57,10 +57,14 @@ class GroupElement:
     perfect rational square.
     """
 
-    a: Scalar
-    b: Scalar
-    c: Scalar
-    d: Scalar
+    __slots__ = ("a", "b", "c", "d")
+
+    def __init__(self, a: Scalar, b: Scalar, c: Scalar, d: Scalar):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
+        self.__post_init__()
 
     def __post_init__(self):
         det = self.a * self.d - self.b * self.c
@@ -81,14 +85,16 @@ class GroupElement:
         return cls(one, zero, zero, one)
 
 
-@dataclass(frozen=True)
-class IwasawaFactors:
+class IwasawaFactors(Value):
     """Dilation alpha, shift nu, rotation (cos_phi, sin_phi)."""
 
-    alpha: Scalar
-    nu: Scalar
-    cos_phi: Scalar
-    sin_phi: Scalar
+    __slots__ = ("alpha", "nu", "cos_phi", "sin_phi")
+
+    def __init__(self, alpha: Scalar, nu: Scalar, cos_phi: Scalar, sin_phi: Scalar):
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "nu", nu)
+        object.__setattr__(self, "cos_phi", cos_phi)
+        object.__setattr__(self, "sin_phi", sin_phi)
 
 
 def compose(g1: GroupElement, g2: GroupElement) -> GroupElement:

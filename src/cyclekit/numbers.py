@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Union
 
 from .errors import ExactModeError
 
-Scalar = Union[int, Fraction, float]
+Scalar = int | Fraction | float
 
 # Relative tolerance of every float zero test (see ``vanishes``).
 REL_TOL = 1e-9

@@ -15,38 +15,49 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
 
 from .cycle import CycleQuadruple, FSCcContext, centre, radius_sq
 from .errors import CycleKitError, Degenerate
 from .hypercomplex import SpaceSign
 from .numbers import Scalar, fmt12, parse_scalar, scalar_to_json
+from .value import Value
 
 CANVAS_PX = 512.0
 HYPERBOLA_SAMPLES = 160
+DEFAULT_STROKE = "#1f4e9c"
 
 # "%.12g" writes a non-finite float as inf, -inf or nan.  Numbers appear only
 # in attribute values, and stroke and fill values are the caller's colours.
 _NON_FINITE = re.compile(r'="(?<!stroke=")(?<!fill=")[^"]*(?:inf|nan)')
 
 
-@dataclass(frozen=True)
-class CycleStyle:
-    stroke: str = "#1f4e9c"
-    dash: bool = False
+class CycleStyle(Value):
+    __slots__ = ("stroke", "dash")
+
+    def __init__(self, stroke: str = DEFAULT_STROKE, dash: bool = False):
+        object.__setattr__(self, "stroke", stroke)
+        object.__setattr__(self, "dash", dash)
 
 
-@dataclass(frozen=True)
-class CycleSetDocument:
-    sigma: SpaceSign
-    cycles: list[tuple[CycleQuadruple, CycleStyle]]
-    points: list[tuple[Scalar, Scalar]] = field(default_factory=list)
-    viewport: tuple[float, float, float, float] = (-3.0, 3.0, -3.0, 3.0)
+class CycleSetDocument(Value):
+    """Cycles with their styles, marked points and a viewport; points default to []."""
 
-    def __post_init__(self):
-        umin, umax, vmin, vmax = self.viewport
+    __slots__ = ("sigma", "cycles", "points", "viewport")
+
+    def __init__(
+        self,
+        sigma: SpaceSign,
+        cycles: list[tuple[CycleQuadruple, CycleStyle]],
+        points: list[tuple[Scalar, Scalar]] | None = None,
+        viewport: tuple[float, float, float, float] = (-3.0, 3.0, -3.0, 3.0),
+    ):
+        umin, umax, vmin, vmax = viewport
         if not (umin < umax and vmin < vmax):
             raise ValueError("viewport must satisfy umin < umax and vmin < vmax")
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "cycles", cycles)
+        object.__setattr__(self, "points", [] if points is None else points)
+        object.__setattr__(self, "viewport", viewport)
 
 
 class DocumentError(ValueError):
@@ -85,7 +96,7 @@ def parse_document(text: str, exact: bool = False) -> CycleSetDocument:
         except ValueError as exc:
             raise DocumentError(f"{where}: {exc}") from exc
         style_raw = entry.get("style", {})
-        stroke = style_raw.get("stroke", CycleStyle.stroke) if isinstance(style_raw, dict) else None
+        stroke = style_raw.get("stroke", DEFAULT_STROKE) if isinstance(style_raw, dict) else None
         if not isinstance(stroke, str) or any(ch in stroke for ch in '"<&'):
             raise DocumentError(f"{where}: style needs a stroke colour without '\"', '<' or '&'")
         cycles.append((quad, CycleStyle(stroke, bool(style_raw.get("dash", False)))))

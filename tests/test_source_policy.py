@@ -11,9 +11,15 @@
 * Outside ``numbers.py`` no module calls ``isinstance(x, float)`` with
   bare ``float``: the scalar mode is read through ``numbers.is_exact``
   and its siblings.
+* No module imports ``dataclasses``: value classes derive from
+  ``value.Value``, and ``import cyclekit.cli`` loads neither
+  ``dataclasses``, ``inspect`` nor ``typing``.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -92,3 +98,27 @@ def test_scalar_mode_is_read_only_in_numbers(path):
         and node.args[1].id == "float"
     ]
     assert uses == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_dataclasses(path):
+    uses = [
+        f"line {node.lineno}"
+        for node in ast.walk(tree(path))
+        if (isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")
+    ]
+    assert uses == []
+
+
+def test_cli_import_leaves_heavy_modules_unloaded():
+    # -S keeps site hooks, which may load typing themselves, out of the count.
+    probe = (
+        "import sys, cyclekit.cli; "
+        "print(' '.join(m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cyclekit.__file__).parent.parent))
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == ""
