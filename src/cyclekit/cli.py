@@ -306,10 +306,12 @@ def _dispatch(args) -> int:
         g = _parse(GroupElement, args.g, exact, "group element", "a,b,c,d")
         y = _point(args.y, False)
         t = _parse(float, args.t, False, "step --t", "t")
+        if args.dirs < 1:
+            raise UsageError(f"--dirs must be at least 1, got {args.dirs}")
         # deterministic direction fan
         dirs = []
         for i in range(args.dirs):
-            angle = 0.35 + 2.5 * i / max(args.dirs, 1)
+            angle = 0.35 + 2.5 * i / args.dirs
             dirs.append((math.cos(angle), math.sin(angle)))
         ratios = conformality_ratios(g, y, dirs, t, kind)
         _emit({"ratios": ratios})

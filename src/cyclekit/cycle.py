@@ -153,17 +153,11 @@ def cycle_eval(cycle: CycleQuadruple, z: Point, sigma: SpaceSign) -> Scalar:
     return k * (u * u - int(sigma) * v * v) - 2 * l * u - 2 * n * v + m
 
 
-def is_incident(
-    cycle: CycleQuadruple, z: PointOrInfinity, sigma: SpaceSign, tol: float = 0.0
-) -> bool:
-    """Point-on-cycle test; INFINITY is incident exactly to lines (k = 0)."""
+def is_incident(cycle: CycleQuadruple, z: PointOrInfinity, sigma: SpaceSign) -> bool:
+    """Point-on-cycle test, exact (== 0) in both modes; INFINITY lies on lines (k = 0)."""
     if z is INFINITY:
         return cycle.k == 0
-    value = cycle_eval(cycle, z, sigma)
-    if tol == 0.0:
-        return value == 0
-    scale = max(1.0, *(abs(float(c)) for c in cycle.components()))
-    return abs(value) <= tol * scale
+    return cycle_eval(cycle, z, sigma) == 0
 
 
 def centre(cycle: CycleQuadruple, kind: SpaceSign) -> PointOrInfinity:
@@ -380,7 +374,7 @@ def _quadratic_residual(constraint: HasFocus, quad: list[Scalar]) -> Scalar:
     return int(constraint.sigma_cycle) * n * n - l * l + m * k - 2 * v * n * k
 
 
-def gauss_solve(rows, rhs, exact: bool):
+def _gauss_solve(rows, rhs, exact: bool):
     """Gaussian elimination over Fraction or float.
 
     The augmented matrix is converted to the requested mode first, so
@@ -460,21 +454,14 @@ def _focus_roots(constraint: HasFocus, base: list[Scalar], direction: list[Scala
     return _quadratic_roots(div(c_plus + c_minus - 2 * c0, 2), div(c_plus - c_minus, 2), c0)
 
 
-def cycle_from_constraints(constraints: list[Constraint]) -> list[CycleQuadruple]:
-    """All cycles satisfying every constraint, in deterministic order.
+def pencil(constraints: list[Constraint]) -> tuple[list[Scalar], list[list[Scalar]], bool]:
+    """Linear stage of the solver: (base, basis, projective).
 
-    The linear conditions are eliminated first, over Fraction when every
-    constraint scalar is exact and over float otherwise.  When every
-    right-hand side is 0 the system is projective and the last nullspace
-    vector takes the place of the particular solution.  What remains is
-    one candidate, or a line base + t*direction whose candidates are the
-    common roots t of the focus quadratics; a projective line also
-    offers its direction, the point t = infinity.  One pass then checks
-    every candidate: k != 0 and n != 0 where a centre or focus needs
-    them, and every focus residual vanishes in the sense of
-    ``numbers.vanishes`` (exactly, or within ``REL_TOL`` in float mode).
-    A solution family of positive dimension raises UnderDetermined; no
-    surviving candidate raises Inconsistent.
+    The rows are eliminated over Fraction when every constraint scalar is
+    exact and over float otherwise; the solutions are base + span(basis).
+    When every right-hand side is 0 the system is projective and the last
+    nullspace vector is popped into the place of the particular solution.
+    Raises Inconsistent when no solution, or only the zero quadruple, exists.
     """
     rows, rhs = [], []
     for constraint in constraints:
@@ -482,7 +469,7 @@ def cycle_from_constraints(constraints: list[Constraint]) -> list[CycleQuadruple
             rows.append(coeffs)
             rhs.append(b)
     exact = all(is_exact(*_constraint_scalars(c)) for c in constraints)
-    solved = gauss_solve(rows, rhs, exact)
+    solved = _gauss_solve(rows, rhs, exact)
     if solved is None:
         raise Inconsistent("linear constraints admit no solution")
     base, basis = solved
@@ -491,6 +478,23 @@ def cycle_from_constraints(constraints: list[Constraint]) -> list[CycleQuadruple
         if not basis:
             raise Inconsistent("only the zero quadruple satisfies the constraints")
         base = basis.pop()
+    return base, basis, projective
+
+
+def cycle_from_constraints(constraints: list[Constraint]) -> list[CycleQuadruple]:
+    """All cycles satisfying every constraint, in deterministic order.
+
+    The linear conditions are eliminated first (``pencil``).  What
+    remains is one candidate, or a line base + t*direction whose
+    candidates are the common roots t of the focus quadratics; a
+    projective line also offers its direction, the point t = infinity.
+    One pass then checks every candidate: k != 0 and n != 0 where a
+    centre or focus needs them, and every focus residual vanishes in the
+    sense of ``numbers.vanishes`` (exactly, or within ``REL_TOL`` in
+    float mode).  A solution family of positive dimension raises
+    UnderDetermined; no surviving candidate raises Inconsistent.
+    """
+    base, basis, projective = pencil(constraints)
     quadratics = [c for c in constraints if isinstance(c, HasFocus)]
     if not basis:
         candidates = [base]

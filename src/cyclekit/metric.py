@@ -20,7 +20,7 @@ from .cycle import (
     Normalised,
     PassesThrough,
     cycle_from_constraints,
-    gauss_solve,
+    pencil,
     radius_sq,
 )
 from .errors import (
@@ -93,7 +93,8 @@ def variational_distance_oracle(
     """Extremal squared diameter over all cycles through both points.
 
     Golden-section search over the one-parameter pencil through the two
-    points, independent of the closed-form distance.  Supported for the
+    points, solved in float mode by ``cycle.pencil`` in the chart k = 1;
+    independent of the closed-form distance.  Supported for the
     elliptic/elliptic regime; other regimes are attempted with a warning.
     """
     if not (sigma == SpaceSign.ELLIPTIC and sigma_cycle == SpaceSign.ELLIPTIC):
@@ -102,18 +103,13 @@ def variational_distance_oracle(
             ExperimentalRegimeWarning,
             stacklevel=2,
         )
-    au, av = float(a[0]), float(a[1])
-    bu, bv = float(b[0]), float(b[1])
-    sig = int(sigma)
-    rows = [
-        [au * au - sig * av * av, -2 * au, -2 * av, 1],
-        [bu * bu - sig * bv * bv, -2 * bu, -2 * bv, 1],
-        [1.0, 0.0, 0.0, 0.0],
-    ]
-    solved = gauss_solve(rows, [0.0, 0.0, 1.0], exact=False)
-    if solved is None:
-        raise Inconsistent("no cycle pencil through the two points")
-    base, basis = solved
+    base, basis, _ = pencil(
+        [
+            PassesThrough((float(a[0]), float(a[1])), sigma),
+            PassesThrough((float(b[0]), float(b[1])), sigma),
+            Normalised(),
+        ]
+    )
     if len(basis) != 1:
         raise Inconsistent("point pair does not define a one-parameter pencil")
     direction = basis[0]

@@ -16,10 +16,11 @@ import warnings
 from .cycle import (
     CycleQuadruple,
     FSCcContext,
+    IsOrthogonalTo,
+    PassesThrough,
     REAL_LINE,
     centre,
-    gauss_solve,
-    normalized_key,
+    pencil,
     zero_radius_cycle,
 )
 from .errors import (
@@ -30,7 +31,7 @@ from .errors import (
 )
 from .hypercomplex import SpaceSign
 from .moebius import INFINITY, PointOrInfinity
-from .numbers import Scalar, div, is_exact, vanishes
+from .numbers import Scalar, div, vanishes
 
 
 def heaviside(t: Scalar) -> int:
@@ -206,49 +207,31 @@ def orthogonal_family(
     count: int,
     sigma: SpaceSign = SpaceSign.ELLIPTIC,
 ) -> list[CycleQuadruple]:
-    """Sample of the pencil of cycles orthogonal to one cycle through a point.
+    """The first ``count`` members of the pencil orthogonal to a cycle through a point.
 
-    The two linear conditions leave a projective line of solutions,
-    sampled on a deterministic parameter grid until ``count`` distinct
-    projective classes are collected.  ``sigma`` fixes the point space
-    in which the incidence is read (the construction draws in the
-    elliptic plane by default).
+    The two linear conditions leave a projective line base + t*direction
+    (``cycle.pencil``).  Member i is alpha*direction + beta*base for the
+    i-th ratio alpha:beta of 1:0, 0:1, 1:1, 1:-1, then 1:s, 1:-s, s:1,
+    -s:1 for s = 2, 3, ...; no two ratios give the same projective
+    class.  ``sigma`` fixes the point space in which the incidence is
+    read (the construction draws in the elliptic plane by default).
+    Raises ValueError for ``count`` < 1 and Inconsistent when the
+    conditions do not leave a projective line.
     """
-    u, v = through
-    sig_p = int(sigma)
-    sig_c = int(ctx.sigma_cycle)
-    rows = [
-        [-cycle.m, 2 * cycle.l, -2 * sig_c * ctx.s * ctx.s * cycle.n, -cycle.k],
-        [u * u - sig_p * v * v, -2 * u, -2 * v, 1],
-    ]
-    solved = gauss_solve(rows, [0, 0], is_exact(u, v, *cycle.components()))
-    if solved is None:
-        raise Inconsistent("orthogonality and incidence admit no common cycle")
-    _, basis = solved
-    if len(basis) != 2:
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
+    base, basis, _ = pencil([IsOrthogonalTo(cycle, ctx), PassesThrough(through, sigma)])
+    if len(basis) != 1:
         raise Inconsistent(
-            f"expected a projective line of solutions, got dimension {len(basis) - 1}"
+            f"expected a projective line of solutions, got dimension {len(basis)}"
         )
-    b0, b1 = basis
-    family: list[CycleQuadruple] = []
-    seen: set[tuple] = set()
-    grid: list[tuple[Scalar, Scalar]] = [(1, 0), (0, 1)]
-    step = 1
-    while len(grid) < 4 * count + 8:
-        grid.extend([(1, step), (1, -step), (step, 1), (-step, 1)])
+    direction = basis[0]
+    ratios = [(1, 0), (0, 1), (1, 1), (1, -1)]
+    step = 2
+    while len(ratios) < count:
+        ratios.extend([(1, step), (1, -step), (step, 1), (-step, 1)])
         step += 1
-    for alpha, beta in grid:
-        values = [alpha * x + beta * y for x, y in zip(b0, b1)]
-        if all(val == 0 for val in values):
-            continue
-        candidate = CycleQuadruple(*values)
-        key = tuple(float(x) for x in normalized_key(candidate))
-        if key in seen:
-            continue
-        seen.add(key)
-        family.append(candidate)
-        if len(family) == count:
-            break
-    if len(family) < count:
-        raise Inconsistent("could not collect the requested number of classes")
-    return family
+    return [
+        CycleQuadruple(*(alpha * x + beta * y for x, y in zip(direction, base)))
+        for alpha, beta in ratios[:count]
+    ]

@@ -32,6 +32,8 @@ def run(capsys, argv):
         ["orbit", "--base", "0,1", "--sigma", "e", "--params", "a,1"],
         ["conformal", "--g", "2,0,0,0.5", "--y", "0.2,1.1", "--kind", "distance", "--sigma", "e", "--t", "nan"],
         ["conformal", "--g", "2,0,0,0.5", "--y", "0.2,1.1", "--kind", "distance", "--sigma", "e", "--t", "inf"],
+        ["conformal", "--g", "2,0,0,0.5", "--y", "0.2,1.1", "--kind", "distance", "--sigma", "e", "--dirs", "0"],
+        ["conformal", "--g", "2,0,0,0.5", "--y", "0.2,1.1", "--kind", "distance", "--sigma", "e", "--dirs", "-2"],
     ],
 )
 def test_bad_argv_is_a_usage_error(capsys, argv):

@@ -3,8 +3,11 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ALL_SIGNS, rand_cycle, rand_fraction, rand_group_exact, rand_real_circle
+from test_scalar_policy import ref_gauss_solve
 from cyclekit import (
     CycleQuadruple,
     Degenerate,
@@ -12,6 +15,7 @@ from cyclekit import (
     DegenerateRelationWarning,
     FSCcContext,
     INFINITY,
+    Inconsistent,
     Point,
     REAL_LINE,
     SpaceSign,
@@ -34,6 +38,8 @@ from cyclekit import (
     similarity_transform,
     zero_radius_cycle,
 )
+from cyclekit.cycle import normalized_key
+from cyclekit.numbers import is_exact
 
 E, P, H = ALL_SIGNS
 CTX_E = FSCcContext(E, 1)
@@ -333,7 +339,96 @@ def test_orthogonal_family_through_point_on_mirror():
 
 def test_orthogonal_family_distinct_classes():
     fam = orthogonal_family(UNIT_CIRCLE, (0, 2), CTX_E, 5)
-    from cyclekit.cycle import normalized_key
-
     keys = {tuple(map(float, normalized_key(c))) for c in fam}
     assert len(keys) == 5
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_orthogonal_family_rejects_a_count_below_one(count):
+    with pytest.raises(ValueError):
+        orthogonal_family(UNIT_CIRCLE, (0, 2), CTX_E, count)
+
+
+# ---------------------------------------------------------------------------
+# The replaced sampler, kept as the reference: its own rows, a parameter
+# grid with repeated classes, and a float-key dedupe.
+
+
+def ref_orthogonal_family(cycle, through, ctx, count, sigma):
+    u, v = through
+    sig_p = int(sigma)
+    sig_c = int(ctx.sigma_cycle)
+    rows = [
+        [-cycle.m, 2 * cycle.l, -2 * sig_c * ctx.s * ctx.s * cycle.n, -cycle.k],
+        [u * u - sig_p * v * v, -2 * u, -2 * v, 1],
+    ]
+    exact = is_exact(u, v, *cycle.components())
+    if not exact:
+        # the replaced elimination converted its float systems to float first
+        rows = [[float(x) for x in row] for row in rows]
+    solved = ref_gauss_solve(rows, [0, 0] if exact else [0.0, 0.0], exact)
+    if solved is None:
+        raise Inconsistent("no common cycle")
+    _, basis = solved
+    if len(basis) != 2:
+        raise Inconsistent("not a projective line")
+    b0, b1 = basis
+    family, seen = [], set()
+    grid = [(1, 0), (0, 1)]
+    step = 1
+    while len(grid) < 4 * count + 8:
+        grid.extend([(1, step), (1, -step), (step, 1), (-step, 1)])
+        step += 1
+    for alpha, beta in grid:
+        values = [alpha * x + beta * y for x, y in zip(b0, b1)]
+        if all(val == 0 for val in values):
+            continue
+        candidate = CycleQuadruple(*values)
+        key = tuple(float(x) for x in normalized_key(candidate))
+        if key in seen:
+            continue
+        seen.add(key)
+        family.append(candidate)
+        if len(family) == count:
+            break
+    if len(family) < count:
+        raise Inconsistent("too few classes")
+    return family
+
+
+EXACT_SCALARS = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-4, max_value=4, max_denominator=4),
+)
+FLOAT_SCALARS = st.one_of(EXACT_SCALARS.map(float), st.floats(-4, 4, allow_nan=False))
+
+
+@st.composite
+def family_calls(draw):
+    """(cycle, through, ctx, count, sigma), all exact, all float or mixed."""
+    scalar = draw(
+        st.sampled_from(
+            [EXACT_SCALARS, FLOAT_SCALARS, st.one_of(EXACT_SCALARS, FLOAT_SCALARS)]
+        )
+    )
+    comps = draw(st.tuples(scalar, scalar, scalar, scalar).filter(any))
+    through = draw(st.tuples(scalar, scalar))
+    ctx = FSCcContext(draw(st.sampled_from(ALL_SIGNS)), draw(st.sampled_from([1, -1])))
+    return CycleQuadruple(*comps), through, ctx, draw(st.integers(1, 12)), draw(
+        st.sampled_from(ALL_SIGNS)
+    )
+
+
+def family_outcome(sampler, call):
+    try:
+        return [
+            [(type(x), x) for x in member.components()] for member in sampler(*call)
+        ]
+    except Exception as exc:  # the class is what is compared
+        return type(exc)
+
+
+@settings(max_examples=300)
+@given(family_calls())
+def test_orthogonal_family_matches_the_replaced_sampler(call):
+    assert family_outcome(orthogonal_family, call) == family_outcome(ref_orthogonal_family, call)

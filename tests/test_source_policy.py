@@ -11,6 +11,9 @@
 * Outside ``numbers.py`` no module calls ``isinstance(x, float)`` with
   bare ``float``: the scalar mode is read through ``numbers.is_exact``
   and its siblings.
+* Only ``cycle.py`` names ``gauss_solve`` or ``_gauss_solve``, and calls
+  it once, from ``pencil``: every linear system goes through
+  ``cycle.pencil``.
 * No module imports ``dataclasses``: value classes derive from
   ``value.Value``, and ``import cyclekit.cli`` loads neither
   ``dataclasses``, ``inspect`` nor ``typing``.
@@ -98,6 +101,27 @@ def test_scalar_mode_is_read_only_in_numbers(path):
         and node.args[1].id == "float"
     ]
     assert uses == []
+
+
+def named(node, names):
+    return (
+        (isinstance(node, ast.Name) and node.id in names)
+        or (isinstance(node, ast.Attribute) and node.attr in names)
+        or (isinstance(node, ast.alias) and node.name in names)
+    )
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_linear_systems_are_solved_only_in_cycle(path):
+    names = {"gauss_solve", "_gauss_solve"}
+    nodes = list(ast.walk(tree(path)))
+    if path.name != "cycle.py":
+        assert [f"line {node.lineno}" for node in nodes if named(node, names)] == []
+        return
+    calls = [node for node in nodes if isinstance(node, ast.Call) and named(node.func, names)]
+    assert len(calls) == 1
+    (pencil,) = [n for n in nodes if isinstance(n, ast.FunctionDef) and n.name == "pencil"]
+    assert calls[0] in list(ast.walk(pencil))
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
