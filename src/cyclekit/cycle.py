@@ -431,15 +431,18 @@ def _gauss_solve(rows, rhs, exact: bool):
 def _satisfies(values: list[Scalar], constraints) -> bool:
     """Re-verify the non-linear parts of every constraint on a candidate.
 
-    A centre or focus needs k != 0, a focus also n != 0, and each focus
-    residual must vanish; this filters spurious k = 0 hits.
+    A centre or focus needs k != 0, a focus also an n that does not
+    vanish (``numbers.vanishes``, so a float n of rounding size counts as
+    zero), and each focus residual must vanish; this filters spurious
+    k = 0 and n = 0 hits.
     """
     k, _, n, _ = values
     for constraint in constraints:
         if isinstance(constraint, (HasKindCentre, HasFocus)) and k == 0:
             return False
         if isinstance(constraint, HasFocus) and (
-            n == 0 or not vanishes(_quadratic_residual(constraint, values), values, values)
+            vanishes(n, values)
+            or not vanishes(_quadratic_residual(constraint, values), values, values)
         ):
             return False
     return True

@@ -27,7 +27,7 @@ from .cycle import (
 )
 from .errors import CycleKitError, FocusUndefined, UsageError
 from .hypercomplex import SpaceSign
-from .moebius import INFINITY, Point, mobius_apply, subgroup_element
+from .moebius import INFINITY, Point, orbit_uv, subgroup_element
 from .numbers import fmt12, parse_scalars
 from .relations import common_inverse_point, ghost_cycle, orthogonal_family, s_ghost
 from .svgout import CANVAS_PX, CycleSetDocument, CycleStyle, polyline, render_svg
@@ -113,22 +113,20 @@ def _orbit_parameters(samples: int = 257) -> list[float]:
     return params
 
 
-def _polyline_runs(points, viewport) -> list[str]:
+def _polyline_runs(images, viewport) -> list[str]:
+    """Split (u, v) pairs into runs at None and at points far outside the viewport."""
     umin, umax, vmin, vmax = viewport
     span_u = umax - umin
     span_v = vmax - vmin
     runs: list[list[tuple[float, float]]] = [[]]
-    for pt in points:
-        if pt is INFINITY:
+    for image in images:
+        if image is None or not (
+            umin - span_u < image[0] < umax + span_u and vmin - span_v < image[1] < vmax + span_v
+        ):
             if runs[-1]:
                 runs.append([])
             continue
-        u, v = float(pt.u), float(pt.v)
-        if not (umin - span_u < u < umax + span_u and vmin - span_v < v < vmax + span_v):
-            if runs[-1]:
-                runs.append([])
-            continue
-        runs[-1].append((u, v))
+        runs[-1].append(image)
     return [run for run in runs if len(run) >= 2]
 
 
@@ -149,9 +147,8 @@ def _fig_k_orbits(params: dict[str, str]):
             )
             cycles.append((axis_image, CycleStyle(stroke=GREY)))
         for v0 in (0.5, 1.0, 2.0):
-            base = Point(0.0, v0)
-            orbit_pts = [mobius_apply(g, base, sigma) for g in rotations]
-            for run in _polyline_runs(orbit_pts, viewport):
+            # the kernel's (u, v) pairs go straight to the polylines, no Point per sample
+            for run in _polyline_runs(orbit_uv(rotations, Point(0.0, v0), sigma), viewport):
                 extras.append(polyline(run, orbit_attrs))
         doc = CycleSetDocument(sigma, cycles, [], viewport)
         comments = [f"rotation orbits in the {sigma.letter}-plane"]

@@ -1,11 +1,13 @@
 """SL(2,R) and its fractional-linear action on the three planes.
 
 A group element acts on z = u + iv by z -> (az+b)/(cz+d), computed in
-the arithmetic selected by the point-space sign.  All three planes are
-compactified by a single point INFINITY; denominators whose modulus
-vanishes map there.  The dilation/shift/rotation factorisation keeps a
-rational parametrisation of the rotation subgroup so exact mode never
-needs trigonometry.
+the arithmetic selected by the point-space sign.  ``orbit_uv`` holds the
+one expansion of that action over the scalars, applying many elements to
+one finite point; ``mobius_apply`` and ``k_orbit`` wrap its (u, v) pairs
+as Points.  All three planes are compactified by a single point INFINITY;
+denominators whose modulus vanishes map there.  The
+dilation/shift/rotation factorisation keeps a rational parametrisation
+of the rotation subgroup so exact mode never needs trigonometry.
 """
 
 from __future__ import annotations
@@ -116,16 +118,31 @@ def mobius_apply(g: GroupElement, z: PointOrInfinity, sigma: SpaceSign) -> Point
         if g.c == 0:
             return INFINITY
         return Point(div(g.a, g.c), 0 if is_exact(g.a, g.c) else 0.0)
-    # (az+b) * conj(cz+d) / modsq(cz+d), expanded over the scalars
-    a, b, c, d = g.entries()
+    image = orbit_uv((g,), z, sigma)[0]
+    return INFINITY if image is None else Point(*image)
+
+
+def orbit_uv(elements, z: Point, sigma: SpaceSign) -> list[tuple[Scalar, Scalar] | None]:
+    """Images of one finite point under each element, as (u, v) pairs.
+
+    The one expansion of the action: (az+b) * conj(cz+d) / modsq(cz+d)
+    over the scalars, with no Point built per image.  None stands where
+    the modulus vanishes and ``mobius_apply`` gives INFINITY; the
+    quotients follow ``div``, so exact input gives Fractions.
+    """
     u, v = z.u, z.v
     sig = int(sigma)
-    den_re = c * u + d
-    mod = den_re * den_re - sig * (c * v) ** 2
-    if mod == 0:
-        return INFINITY
-    re = (a * u + b) * den_re - sig * a * c * v * v
-    return Point(div(re, mod), div(v * (a * d - b * c), mod))
+    images = []
+    for g in elements:
+        a, b, c, d = g.a, g.b, g.c, g.d
+        den_re = c * u + d
+        mod = den_re * den_re - sig * (c * v) ** 2
+        if mod == 0:
+            images.append(None)
+            continue
+        re = (a * u + b) * den_re - sig * a * c * v * v
+        images.append((div(re, mod), div(v * (a * d - b * c), mod)))
+    return images
 
 
 def subgroup_element(kind: str, param: Scalar) -> GroupElement:
@@ -179,7 +196,8 @@ def k_orbit(
     base: Point, sigma: SpaceSign, params: list[Scalar]
 ) -> list[PointOrInfinity]:
     """Images of a finite base point under rotations K(t), one per parameter."""
-    return [mobius_apply(subgroup_element("K", t), base, sigma) for t in params]
+    images = orbit_uv([subgroup_element("K", t) for t in params], base, sigma)
+    return [INFINITY if image is None else Point(*image) for image in images]
 
 
 def reduce_to_k_orbit(cycle, sigma_cycle: SpaceSign) -> tuple[Scalar, Scalar]:

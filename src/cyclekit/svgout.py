@@ -2,10 +2,11 @@
 
 Circles are native <circle> elements, parabolas are exact quadratic
 Bezier arcs (a parabola is exactly a quadratic Bezier), hyperbolas are
-sampled polylines: a 1,024-point grid across the viewport finds the
-u-intervals where the branches are real, and each interval is sampled at
-160 abscissae shared by both branches, keeping the samples that fall
-within one viewport height of the viewport.  All numbers are formatted
+sampled polylines: a bisection on a 1,024-point grid across the viewport,
+one on each side of the discriminant's vertex, finds the u-intervals
+where the branches are real, and each interval is sampled at 160
+abscissae shared by both branches, keeping the samples that fall within
+one viewport height of the viewport.  All numbers are formatted
 to at most 12 significant digits with "-0" normalised, so a given
 document always renders to identical bytes.
 """
@@ -15,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from bisect import bisect_left, bisect_right
 
 from .cycle import CycleQuadruple, FSCcContext, centre, radius_sq
 from .errors import CycleKitError, Degenerate
@@ -333,17 +335,27 @@ def _hyperbola_polylines(
     span = vmax - vmin
     lo, hi = vmin - span, vmax + span
     # the branches v = (-n +- sqrt(disc)) / k are real where
-    # disc = n^2 + k (k u^2 - 2 l u + m) >= 0; a sentinel closes the last run
-    scan = 1024
-    grid = [umin + (umax - umin) * i / (scan - 1) for i in range(scan)]
-    real = [n * n + k * (k * u * u - 2.0 * l * u + m) >= 0 for u in grid] + [False]
+    # disc = n^2 + k (k u^2 - 2 l u + m) >= 0 at the grid abscissae
+    # umin + (umax - umin) i / 1023.  disc falls toward its vertex u = l/k
+    # and rises after it, so the real grid points are a prefix [0, a) left
+    # of the vertex and a suffix [b, 1024) right of it, one run when they
+    # meet; bisecting each side finds a and b with the full scan's predicate
+    def grid(i):
+        return umin + (umax - umin) * i / 1023
+
+    def real(i):
+        u = grid(i)
+        return n * n + k * (k * u * u - 2.0 * l * u + m) >= 0
+
+    index = range(1024)
+    vertex = bisect_right(index, l / k, key=grid)
+    a = bisect_left(index, True, 0, vertex, key=lambda i: not real(i))
+    b = bisect_left(index, True, vertex, key=real)
+    runs = [(0, 1024)] if a == b else [(0, a), (b, 1024)]
     sampled: list[list[tuple[float, float]]] = []  # (u, sqrt(disc)) per interval
-    stop = 0
-    while True in real[stop:]:
-        start = real.index(True, stop)
-        stop = real.index(False, start)
-        ua, ub = grid[start], grid[stop - 1]
-        if ub <= ua:
+    for start, stop in runs:
+        ua, ub = grid(start), grid(stop - 1)
+        if ub <= ua:  # an empty or one-point run, or a span the floats collapse
             continue
         roots = []
         for i in range(HYPERBOLA_SAMPLES):

@@ -13,8 +13,10 @@ from conftest import (
 )
 from cyclekit import (
     CycleQuadruple,
+    DirectedInterval,
     FSCcContext,
     FocusUndefined,
+    FromFocus,
     GroupElement,
     HasFocus,
     HasKindCentre,
@@ -36,6 +38,7 @@ from cyclekit import (
     focus,
     from_fscc,
     is_incident,
+    length,
     mobius_apply,
     normalize,
     projective_eq,
@@ -282,6 +285,23 @@ def test_constraints_focus_two_branches():
     assert len(sols) == 2
     assert projective_eq(sols[0], CycleQuadruple(1, 0, 1, 0))
     assert projective_eq(sols[1], CycleQuadruple(1, 0, 2, 2))
+
+
+def test_float_focus_rejects_an_n_of_rounding_size():
+    # the float solve once kept a second cycle with n = -1.98e-13 beside the true one
+    exact = [HasFocus((6, Fraction(-62, 5)), E), PassesThrough((6, Fraction(-21, 2)), P)]
+    want = CycleQuadruple(1, 6, Fraction(19, 5), Fraction(-219, 5))
+    assert cycle_from_constraints(exact + [Normalised()]) == [want]
+    (sol,) = cycle_from_constraints(
+        [HasFocus((6.0, -12.4), E), PassesThrough((6.0, -10.5), P), Normalised()]
+    )
+    assert all(isinstance(x, float) for x in sol.components())
+    for got, expected in zip(sol.components(), want.components()):
+        assert got == pytest.approx(float(expected), rel=1e-9, abs=1e-9)
+    interval = DirectedInterval((6, Fraction(-62, 5)), (6, Fraction(-21, 2)))
+    assert length(interval, FromFocus(P, E)) == [Fraction(2356, 25)]
+    (value,) = length(DirectedInterval((6.0, -12.4), (6.0, -10.5)), FromFocus(P, E))
+    assert value == pytest.approx(94.24, rel=1e-9)
 
 
 def test_constraints_focus_without_chart():

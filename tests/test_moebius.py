@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import ALL_SIGNS, rand_fraction, rand_group_exact, rand_group_float, rand_point_exact
 from cyclekit import (
@@ -24,6 +26,9 @@ from cyclekit import (
     similarity_transform,
     subgroup_element,
 )
+from cyclekit.figures import _orbit_parameters
+from cyclekit.moebius import orbit_uv
+from cyclekit.numbers import div
 
 E, P, H = ALL_SIGNS
 
@@ -234,3 +239,103 @@ def test_reduce_to_k_orbit_lands_on_orbit_form():
             fmoved = similarity_transform(fmoved, subgroup_element("A", alpha), FSCcContext(E, 1))
             assert abs(fmoved.l) < 1e-9 and abs(fmoved.k - fmoved.m) < 1e-9
         done += 1
+
+
+def per_point_apply(g, z, sigma):
+    """The action at a finite point as ``mobius_apply`` wrote it before the kernel."""
+    a, b, c, d = g.entries()
+    u, v = z.u, z.v
+    sig = int(sigma)
+    den_re = c * u + d
+    mod = den_re * den_re - sig * (c * v) ** 2
+    if mod == 0:
+        return INFINITY
+    re = (a * u + b) * den_re - sig * a * c * v * v
+    return Point(div(re, mod), div(v * (a * d - b * c), mod))
+
+
+def same_scalar(x, y):
+    """Equal value and type; floats equal bit for bit, so -0.0 differs from 0.0."""
+    if type(x) is not type(y):
+        return False
+    return x.hex() == y.hex() if isinstance(x, float) else x == y
+
+
+def assert_kernel_matches(elements, z, sigma):
+    images = orbit_uv(elements, z, sigma)
+    assert len(images) == len(elements)
+    for g, image in zip(elements, images):
+        for want in (per_point_apply(g, z, sigma), mobius_apply(g, z, sigma)):
+            if want is INFINITY:
+                assert image is None
+            else:
+                assert image is not None
+                assert same_scalar(image[0], want.u) and same_scalar(image[1], want.v)
+
+
+FLOAT = st.floats(-8.0, 8.0)
+EXACT = st.fractions(-8, 8, max_denominator=12)
+SIGNS = st.sampled_from(ALL_SIGNS)
+
+
+@st.composite
+def float_elements(draw):
+    a, b, c, d = (draw(FLOAT) for _ in range(4))
+    if a * d - b * c <= 1e-6:
+        a, b, c, d = b, a, d, c  # swapping the columns flips the sign of the determinant
+    if a * d - b * c <= 1e-6:
+        return GroupElement(1.0, draw(FLOAT), 0.0, 1.0)
+    return GroupElement(a, b, c, d)
+
+
+@st.composite
+def exact_elements(draw):
+    alpha = draw(st.fractions(Fraction(1, 4), 4, max_denominator=12))
+    nu, t = draw(EXACT), draw(EXACT)
+    return compose(
+        compose(subgroup_element("A", alpha), subgroup_element("N", nu)),
+        subgroup_element("K", t),
+    )
+
+
+SCALAR_TYPES = st.sampled_from([int, Fraction, float])
+
+
+@st.composite
+def pole_cases(draw):
+    """The element [[a, ad - 1], [1, d]] and a point on its pole set in ``sigma``."""
+    a, d, v = (draw(st.integers(-6, 6)) for _ in range(3))
+    sigma = draw(SIGNS)
+    u = -d
+    if sigma == E:
+        v = 0
+    elif sigma == H:
+        u += draw(st.sampled_from([v, -v]))  # c*u + d = +-c*v
+    scalar = draw(SCALAR_TYPES)
+    g = GroupElement(*(scalar(x) for x in (a, a * d - 1, 1, d)))
+    return g, Point(scalar(u), scalar(v)), sigma
+
+
+ELEMENTS = float_elements() | exact_elements() | pole_cases().map(lambda case: case[0])
+POINTS = st.builds(Point, FLOAT, FLOAT) | st.builds(Point, EXACT, EXACT) | st.builds(
+    Point, st.integers(-8, 8), st.integers(-8, 8)
+)
+
+
+@given(st.lists(ELEMENTS, max_size=12), POINTS, SIGNS)
+def test_orbit_kernel_matches_the_per_point_action(elements, z, sigma):
+    assert_kernel_matches(elements, z, sigma)
+
+
+@given(pole_cases(), st.lists(ELEMENTS, max_size=4))
+def test_orbit_kernel_on_the_pole_set(case, others):
+    g, z, sigma = case
+    assert orbit_uv([g], z, sigma) == [None]
+    assert_kernel_matches([g] + others + [g], z, sigma)
+
+
+@given(st.sampled_from([0.5, 1.0, 2.0]) | FLOAT, FLOAT, SIGNS)
+def test_orbit_kernel_on_the_figure_rotations(v0, u0, sigma):
+    rotations = [subgroup_element("K", t) for t in _orbit_parameters()]
+    assert_kernel_matches(rotations, Point(0.0, v0), sigma)
+    assert_kernel_matches(rotations, Point(u0, v0), sigma)

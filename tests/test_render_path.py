@@ -106,18 +106,28 @@ def assert_same_hyperbola(k, l, n, m, viewport):
 @given(NONZERO, COMPONENT, COMPONENT, COMPONENT, viewports())
 @example(1.0, 0.0, 0.0, -1.0, (-3.0, 3.0, -3.0, 3.0))
 @example(1.0, 0.0, 1.0, 0.0, (-3.0, 3.0, -3.0, 3.0))
+@example(1.0, -5.0, 0.5, 3.0, (-3.0, 3.0, -3.0, 3.0))  # vertex u = l/k left of the viewport
+@example(1.0, 5.0, 0.5, 3.0, (-3.0, 3.0, -3.0, 3.0))  # vertex right of the viewport
+@example(-2.0, 6.0, -0.5, 4.0, (-3.0, 3.0, -3.0, 3.0))  # k < 0, vertex right of the viewport
+@example(1.0, 0.0, 0.5, -20.0, (-3.0, 3.0, -3.0, 3.0))  # disc < 0 on the whole grid
 def test_hyperbola_matches_scan(k, l, n, m, viewport):
     assert_same_hyperbola(k, l, n, m, viewport)
 
 
 @given(NONZERO, COMPONENT, COMPONENT, viewports())
 @example(1.0, 0.5, 0.5, (-3.0, 3.0, -3.0, 3.0))
+@example(1.0, -0.0029325513196480912, 0.5, (-3.0, 3.0, -3.0, 3.0))  # vertex on grid index 511
+# vertex on grid index 510, where disc rounds below 0: runs [0, 510) and [511, 1024)
+@example(3.0, -0.02639296187683282, 0.75, (-3.0, 3.0, -3.0, 3.0))
 def test_zero_radius_hyperbola_matches_scan(k, l, n, viewport):
     """m = (l^2 - n^2)/k: the discriminant has a double root at u = l/k."""
     assert_same_hyperbola(k, l, n, (l * l - n * n) / k, viewport)
 
 
 @given(TINY, COMPONENT, COMPONENT, COMPONENT, viewports())
+@example(5e-324, 1.0, 0.0, 0.5, (-3.0, 3.0, -3.0, 3.0))  # n = 0 and l/k overflows to inf
+@example(-5e-324, 1.0, 0.0, -0.5, (-3.0, 3.0, -3.0, 3.0))  # l/k overflows to -inf
+@example(1e-300, -8.0, 0.0, 2.0, (-3.0, 3.0, -3.0, 3.0))  # l/k = -8e300, still finite
 def test_tiny_k_hyperbola_matches_scan(k, l, n, m, viewport):
     assert_same_hyperbola(k, l, n, m, viewport)
 
