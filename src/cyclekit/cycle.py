@@ -428,20 +428,35 @@ def _gauss_solve(rows, rhs, exact: bool):
     return particular, basis
 
 
+def _n_vanishes(k: Scalar, l: Scalar, n: Scalar, m: Scalar) -> bool:
+    """Whether a focus candidate's n counts as zero.
+
+    In exact mode when n == 0.  A float n is measured against |l| and
+    sqrt|km|, the candidate's other sizes of degree one, which scale like
+    n when the quadruple or the plane is scaled.  A bound on n alone would
+    be floored at 1 or grow with m, and so would reject true cycles whose
+    focus lies far from the origin or whose figure is small.
+    """
+    if is_exact(n):
+        return n == 0
+    size = max(abs(l), scalar_sqrt(abs(k), "focus") * scalar_sqrt(abs(m), "focus"))
+    return n == 0 or (size > 0 and vanishes(n / size))
+
+
 def _satisfies(values: list[Scalar], constraints) -> bool:
     """Re-verify the non-linear parts of every constraint on a candidate.
 
     A centre or focus needs k != 0, a focus also an n that does not
-    vanish (``numbers.vanishes``, so a float n of rounding size counts as
+    vanish (``_n_vanishes``, so a float n of rounding size counts as
     zero), and each focus residual must vanish; this filters spurious
     k = 0 and n = 0 hits.
     """
-    k, _, n, _ = values
+    k, l, n, m = values
     for constraint in constraints:
         if isinstance(constraint, (HasKindCentre, HasFocus)) and k == 0:
             return False
         if isinstance(constraint, HasFocus) and (
-            vanishes(n, values)
+            _n_vanishes(k, l, n, m)
             or not vanishes(_quadratic_residual(constraint, values), values, values)
         ):
             return False
@@ -491,10 +506,10 @@ def cycle_from_constraints(constraints: list[Constraint]) -> list[CycleQuadruple
     remains is one candidate, or a line base + t*direction whose
     candidates are the common roots t of the focus quadratics; a
     projective line also offers its direction, the point t = infinity.
-    One pass then checks every candidate: k != 0 and n != 0 where a
-    centre or focus needs them, and every focus residual vanishes in the
-    sense of ``numbers.vanishes`` (exactly, or within ``REL_TOL`` in
-    float mode).  A solution family of positive dimension raises
+    One pass then checks every candidate: k != 0 where a centre or focus
+    needs it, an n that does not vanish (``_n_vanishes``) where a focus
+    does, and every focus residual vanishes in the sense of
+    ``numbers.vanishes`` (exactly, or within ``REL_TOL`` in float mode).  A solution family of positive dimension raises
     UnderDetermined; no surviving candidate raises Inconsistent.
     """
     base, basis, projective = pencil(constraints)

@@ -4,11 +4,12 @@ Circles are native <circle> elements, parabolas are exact quadratic
 Bezier arcs (a parabola is exactly a quadratic Bezier), hyperbolas are
 sampled polylines: a bisection on a 1,024-point grid across the viewport,
 one on each side of the discriminant's vertex, finds the u-intervals
-where the branches are real, and each interval is sampled at 160
-abscissae shared by both branches, keeping the samples that fall within
-one viewport height of the viewport.  All numbers are formatted
-to at most 12 significant digits with "-0" normalised, so a given
-document always renders to identical bytes.
+where the branches are real (the runs a scan of the grid finds wherever
+rounding keeps the discriminant monotone on each side), and each
+interval is sampled at 160 abscissae shared by both branches, keeping
+the samples that fall within one viewport height of the viewport.  All
+numbers are formatted to at most 12 significant digits with "-0"
+normalised, so a given document always renders to identical bytes.
 """
 
 from __future__ import annotations
@@ -336,22 +337,28 @@ def _hyperbola_polylines(
     lo, hi = vmin - span, vmax + span
     # the branches v = (-n +- sqrt(disc)) / k are real where
     # disc = n^2 + k (k u^2 - 2 l u + m) >= 0 at the grid abscissae
-    # umin + (umax - umin) i / 1023.  disc falls toward its vertex u = l/k
-    # and rises after it, so the real grid points are a prefix [0, a) left
-    # of the vertex and a suffix [b, 1024) right of it, one run when they
-    # meet; bisecting each side finds a and b with the full scan's predicate
+    # umin + (umax - umin) i / (scan - 1).  disc falls toward its vertex
+    # u = l/k and rises after it, so the real grid points are a prefix
+    # [0, a) left of the vertex and a suffix [b, scan) right of it, one run
+    # when they meet; bisecting each side finds a and b with the predicate
+    # of a full scan.  The runs are the scan's wherever rounding keeps that
+    # predicate monotone on each side; far off-centre, where k u^2 - 2 l u
+    # cancels, the scan's runs flicker and the bisection keeps one prefix
+    # and one suffix that end where the predicate changes
+    scan = 1024
+
     def grid(i):
-        return umin + (umax - umin) * i / 1023
+        return umin + (umax - umin) * i / (scan - 1)
 
     def real(i):
         u = grid(i)
         return n * n + k * (k * u * u - 2.0 * l * u + m) >= 0
 
-    index = range(1024)
+    index = range(scan)
     vertex = bisect_right(index, l / k, key=grid)
     a = bisect_left(index, True, 0, vertex, key=lambda i: not real(i))
     b = bisect_left(index, True, vertex, key=real)
-    runs = [(0, 1024)] if a == b else [(0, a), (b, 1024)]
+    runs = [(0, scan)] if a == b else [(0, a), (b, scan)]
     sampled: list[list[tuple[float, float]]] = []  # (u, sqrt(disc)) per interval
     for start, stop in runs:
         ua, ub = grid(start), grid(stop - 1)

@@ -304,6 +304,34 @@ def test_float_focus_rejects_an_n_of_rounding_size():
     assert value == pytest.approx(94.24, rel=1e-9)
 
 
+@pytest.mark.parametrize(
+    "focus, through, tail",
+    [
+        ((10**5, 1), (10**5, 0), []),
+        ((2000, Fraction(1, 1000)), (2000, 0), []),
+        ((0, Fraction(1, 10**10)), (0, 0), [Normalised()]),
+    ],
+)
+def test_float_focus_keeps_an_n_small_beside_the_figure(focus, through, tail):
+    # n is small beside the focus's distance from the origin, or beside 1,
+    # yet of the figure's own size: a bound that grows with m or is floored
+    # at 1 once rejected these cycles, which exact mode finds
+    (want,) = cycle_from_constraints([HasFocus(focus, E), PassesThrough(through, P)] + tail)
+    floats = [HasFocus(tuple(map(float, focus)), E), PassesThrough(tuple(map(float, through)), P)]
+    (got,) = cycle_from_constraints(floats + tail)
+    want, got = normalize(want, "k-one"), normalize(got, "k-one")
+    assert all(isinstance(x, float) for x in got.components())
+    for g, w in zip(got.components(), want.components()):
+        assert g == pytest.approx(float(w), rel=1e-6)
+
+
+def test_float_length_from_a_focus_at_a_small_scale():
+    interval = DirectedInterval((0, Fraction(1, 10**10)), (0, 0))
+    assert length(interval, FromFocus(P, E)) == [Fraction(1, 25 * 10**18)]
+    (value,) = length(DirectedInterval((0.0, 1e-10), (0.0, 0.0)), FromFocus(P, E))
+    assert value == pytest.approx(4e-20, rel=1e-6)
+
+
 def test_constraints_focus_without_chart():
     # same two branches as the k = 1 version, found projectively
     sols = cycle_from_constraints(

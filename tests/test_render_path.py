@@ -4,7 +4,8 @@
 the hyperbola sampler must emit the same elements as the scan-based
 sampler kept below as the oracle: a 1,024-point feasibility scan, then
 160 samples per real interval with the discriminant evaluated again at
-every sample, once per branch.
+every sample, once per branch.  The one accepted difference is far
+off-centre, where rounding makes the discriminant flicker along the grid.
 """
 
 import math
@@ -130,6 +131,22 @@ def test_zero_radius_hyperbola_matches_scan(k, l, n, viewport):
 @example(1e-300, -8.0, 0.0, 2.0, (-3.0, 3.0, -3.0, 3.0))  # l/k = -8e300, still finite
 def test_tiny_k_hyperbola_matches_scan(k, l, n, m, viewport):
     assert_same_hyperbola(k, l, n, m, viewport)
+
+
+def test_hyperbola_far_off_centre_keeps_one_prefix_and_one_suffix():
+    """The accepted difference from the scan.
+
+    Near u = 1e8, k u^2 - 2 l u cancels, and on a viewport one unit wide
+    the float discriminant of (u - l)^2 - 1/16 is rounding noise: the scan
+    splits the grid into 203 runs, 406 polylines.  The bisection keeps one
+    prefix and one suffix run, 4 polylines, and so may join samples across
+    a gap that the scan splits; every sample it keeps has disc >= 0.
+    """
+    l = 1e8 + 0.5
+    k, n, m, viewport = 1.0, 0.0, l * l - 1 / 16, (1e8, 1e8 + 1, -1.0, 1.0)
+    doc = CycleSetDocument(SpaceSign.HYPERBOLIC, [], [], viewport)
+    assert len(scan_hyperbola_polylines(k, l, n, m, doc, ATTRS)) == 406
+    assert len(_hyperbola_polylines(k, l, n, m, doc, ATTRS)) == 4
 
 
 NON_FINITE = re.compile(r"(?<![A-Za-z])(nan|inf)(?![A-Za-z])")

@@ -8,8 +8,9 @@ systems over float, so the copy's float answers are compared after
 conversion to float.  Everything else must agree in value, in type and
 in the class of the exception raised.  One rule of the copy was changed
 with the solver: a focus needs an n that does not vanish, and a float n
-of rounding size now vanishes, as in ``numbers.vanishes``.  The old exact
-test ``n == 0`` kept float cycles that exact mode rejects.
+vanishes when it is within the tolerance of max(|l|, sqrt|km|), the
+candidate's other sizes of degree one.  The old exact test ``n == 0``
+kept float cycles that exact mode rejects.
 """
 
 import math
@@ -170,11 +171,12 @@ def ref_check_constraints(cand, constraints, tol):
         if isinstance(constraint, (HasKindCentre, HasFocus)) and cand.k == 0:
             return False
         if isinstance(constraint, HasFocus):
-            scale = max(1.0, *(abs(float(x)) for x in cand.components()))
-            # a float n within tol of the quadruple's size counts as zero
-            if (cand.n == 0) if tol == 0 else (abs(cand.n) <= tol * scale):
+            # a float n is measured against the sizes of degree one, not 1 or m
+            size = max(abs(cand.l), math.sqrt(abs(cand.k * cand.m)))
+            if (cand.n == 0) if tol == 0 else (abs(cand.n) <= tol * size):
                 return False
             res = ref_residual(constraint, list(cand.components()))
+            scale = max(1.0, *(abs(float(x)) for x in cand.components()))
             if (res != 0) if tol == 0 else (abs(res) > tol * scale * scale):
                 return False
     return True
@@ -342,6 +344,11 @@ def typed(quad):
 # exact mode is Inconsistent; float mode once returned a cycle with n = -1.1e-16
 @example([HasFocus((2.2734375, 1.0), SpaceSign.ELLIPTIC),
           PassesThrough((2.2734375, 1.0), SpaceSign.PARABOLIC)])
+# a focus far from the origin, and one at a small scale: a float n bound
+# that grew with m, or was floored at 1, once rejected these true cycles
+@example([HasFocus((1e5, 1.0), SpaceSign.ELLIPTIC), PassesThrough((1e5, 0.0), SpaceSign.PARABOLIC)])
+@example([HasFocus((0.0, 2.0**-34), SpaceSign.ELLIPTIC), PassesThrough((0.0, 0.0), SpaceSign.PARABOLIC),
+          Normalised()])
 def test_solver_matches_the_replaced_solver(constraints):
     want = outcome(ref_cycle_from_constraints, constraints)
     got = outcome(cycle_from_constraints, constraints)
