@@ -20,28 +20,11 @@ import math
 import os
 import sys
 
-from .cycle import (
-    CycleQuadruple,
-    FSCcContext,
-    similarity_transform,
-)
-from .errors import CycleKitError, UsageError
-from .figures import RECIPE_NAMES, FigureRecipe, run_figure
+# Only what the parser and the error handling need; each command imports the
+# rest of the library itself, so a request loads no layer it does not use.
+from .errors import CycleKitError, DocumentError, UsageError
 from .hypercomplex import SpaceSign
-from .metric import (
-    DirectedInterval,
-    Distance,
-    FromCentre,
-    FromFocus,
-    conformality_ratios,
-    distance_sq,
-    is_perpendicular,
-    length,
-)
-from .moebius import INFINITY, GroupElement, Point, k_orbit, mobius_apply
 from .numbers import parse_scalars, scalar_repr, scalar_to_json
-from .relations import ghost_cycle, invert_point, is_orthogonal, is_s_orthogonal, s_ghost
-from .svgout import CycleSetDocument, DocumentError, document_to_json, parse_document, render_svg
 
 
 class _Parser(argparse.ArgumentParser):
@@ -64,7 +47,9 @@ def _parse(build, text: str, exact: bool, what: str, names: str | None = None):
         raise UsageError(f"bad {what} {text!r}: {exc}") from exc
 
 
-def _quadruple(text: str, exact: bool) -> CycleQuadruple:
+def _quadruple(text: str, exact: bool):
+    from .cycle import CycleQuadruple
+
     return _parse(CycleQuadruple, text, exact, "cycle", "k,l,n,m")
 
 
@@ -91,6 +76,8 @@ def _scalars_text(values) -> str:
 
 
 def _point_text(point) -> str:
+    from .moebius import INFINITY
+
     return "INFINITY" if point is INFINITY else _scalars_text((point.u, point.v))
 
 
@@ -104,6 +91,8 @@ def _add_mode_flags(sub, default_exact: bool):
 
 
 def _length_kind(args):
+    from .metric import Distance, FromCentre, FromFocus
+
     if args.kind == "distance":
         return Distance(args.sigma)
     sigma_cycle = args.sigma if args.sigma_cycle is None else args.sigma_cycle
@@ -190,7 +179,7 @@ def build_parser() -> _Parser:
     _add_mode_flags(p, default_exact=False)
 
     p = subs.add_parser("figure", help="render a named figure into a directory")
-    p.add_argument("name", choices=RECIPE_NAMES)
+    p.add_argument("name", help="figure recipe; an unknown name lists them all")
     p.add_argument("--out", dest="outdir", required=True)
     p.add_argument(
         "--param",
@@ -233,6 +222,8 @@ def _dispatch(args) -> int:
     command = args.command
     exact = _resolve_mode(args)
     if command == "draw":
+        from .svgout import CycleSetDocument, parse_document, render_svg
+
         with open(args.infile, "r", encoding="utf-8") as handle:
             doc = parse_document(handle.read(), exact)
         if args.sigma is not None:
@@ -243,6 +234,10 @@ def _dispatch(args) -> int:
         return 0
 
     if command == "transform":
+        from .cycle import FSCcContext, similarity_transform
+        from .moebius import INFINITY, GroupElement, Point, mobius_apply
+        from .svgout import CycleSetDocument, document_to_json, parse_document
+
         g = _parse(GroupElement, args.g, exact, "group element", "a,b,c,d")
         ctx = FSCcContext(args.sigma_cycle, args.s)
         with open(args.infile, "r", encoding="utf-8") as handle:
@@ -259,6 +254,9 @@ def _dispatch(args) -> int:
         return 0
 
     if command == "check":
+        from .cycle import FSCcContext
+        from .relations import is_orthogonal, is_s_orthogonal
+
         ctx = FSCcContext(args.sigma_cycle, args.s)
         c1 = _quadruple(args.cycle1, exact)
         c2 = _quadruple(args.cycle2, exact)
@@ -270,12 +268,17 @@ def _dispatch(args) -> int:
         return 0 if verdict else 1
 
     if command in ("ghost", "sghost"):
+        from .relations import ghost_cycle, s_ghost
+
         ghost = ghost_cycle if command == "ghost" else s_ghost
         result = ghost(_quadruple(args.cycle, exact), args.sigma, args.sigma_cycle)
         print(_text(_scalars_text, result.components()))
         return 0
 
     if command == "invert":
+        from .cycle import FSCcContext
+        from .relations import invert_point
+
         ctx = FSCcContext(args.sigma_cycle, args.s)
         cycle = _quadruple(args.cycle, exact)
         point = _point(args.point, exact)
@@ -283,6 +286,8 @@ def _dispatch(args) -> int:
         return 0
 
     if command == "distance":
+        from .metric import distance_sq
+
         a = _point(args.a, exact)
         b = _point(args.b, exact)
         value = distance_sq(a, b, args.sigma)
@@ -290,18 +295,25 @@ def _dispatch(args) -> int:
         return 0
 
     if command == "length":
+        from .metric import DirectedInterval, length
+
         interval = DirectedInterval(_point(args.a, exact), _point(args.b, exact))
         values = length(interval, _length_kind(args))
         _emit({"lengths_sq": [scalar_to_json(v) for v in values]})
         return 0
 
     if command == "perp":
+        from .metric import DirectedInterval, is_perpendicular
+
         interval = DirectedInterval(_point(args.a, exact), _point(args.b, exact))
         verdict = is_perpendicular(interval, _point(args.direction, exact), _length_kind(args))
         _emit({"perpendicular": verdict})
         return 0 if verdict else 1
 
     if command == "conformal":
+        from .metric import conformality_ratios
+        from .moebius import GroupElement
+
         kind = _length_kind(args)
         g = _parse(GroupElement, args.g, exact, "group element", "a,b,c,d")
         y = _point(args.y, False)
@@ -318,6 +330,8 @@ def _dispatch(args) -> int:
         return 0
 
     if command == "figure":
+        from .figures import FigureRecipe, run_figure
+
         params = {}
         for item in args.param:
             if "=" not in item:
@@ -330,6 +344,8 @@ def _dispatch(args) -> int:
         return 0
 
     if command == "orbit":
+        from .moebius import Point, k_orbit
+
         base = _point(args.base, exact)
         params = _parse(lambda *ts: list(ts), args.params, exact, "parameter list")
         images = k_orbit(Point(*base), args.sigma, params)

@@ -71,6 +71,10 @@ class UsageError(CycleKitError):
     """Malformed command-line input."""
 
 
+class DocumentError(ValueError):
+    """A cycle document that breaks the JSON schema; the message names the entry."""
+
+
 class DegenerateRelationWarning(UserWarning):
     """Relation is identically true in the parabolic cycle space."""
 

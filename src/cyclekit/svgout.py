@@ -20,7 +20,7 @@ import re
 from bisect import bisect_left, bisect_right
 
 from .cycle import CycleQuadruple, FSCcContext, centre, radius_sq
-from .errors import CycleKitError, Degenerate
+from .errors import CycleKitError, Degenerate, DocumentError
 from .hypercomplex import SpaceSign
 from .numbers import Scalar, fmt12, parse_scalar, scalar_to_json
 from .value import Value
@@ -61,10 +61,6 @@ class CycleSetDocument(Value):
         object.__setattr__(self, "cycles", cycles)
         object.__setattr__(self, "points", [] if points is None else points)
         object.__setattr__(self, "viewport", viewport)
-
-
-class DocumentError(ValueError):
-    """A cycle document that breaks the JSON schema; the message names the entry."""
 
 
 def parse_document(text: str, exact: bool = False) -> CycleSetDocument:

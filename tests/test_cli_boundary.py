@@ -7,6 +7,7 @@ import time
 import pytest
 
 from cyclekit.cli import cli_main
+from cyclekit.figures import RECIPE_NAMES
 
 GOOD_DOC = {
     "sigma": -1,
@@ -71,6 +72,15 @@ def test_bad_figure_parameter_writes_nothing(capsys, tmp_path, param):
     assert not out_dir.exists()
 
 
+def test_unknown_figure_is_a_usage_error_naming_every_recipe(capsys, tmp_path):
+    out_dir = tmp_path / "figs"
+    code, err = run(capsys, ["figure", "no-such-figure", "--out", str(out_dir)])
+    assert code == 1
+    assert err.startswith("usage error: unknown figure 'no-such-figure'")
+    assert all(name in err for name in RECIPE_NAMES) and len(RECIPE_NAMES) == 6
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize(
     "text, words",
     [
@@ -112,6 +122,16 @@ def test_bad_document_exits_3_naming_the_entry(capsys, tmp_path, text, words):
     assert code == 3
     for word in words:
         assert word in err
+    assert not out.exists()
+
+
+def test_bad_document_is_one_document_error_line(capsys, tmp_path):
+    doc = tmp_path / "doc.json"
+    doc.write_text('{"sigma": -1, "viewport": [-3, 3, -3, 3], "cycles": [{"k": 1}]}', encoding="utf-8")
+    out = tmp_path / "out.svg"
+    code, err = run(capsys, ["draw", "--in", str(doc), "--out", str(out)])
+    assert code == 3
+    assert err.startswith("document error: cycle 0")
     assert not out.exists()
 
 

@@ -17,6 +17,8 @@
 * No module imports ``dataclasses``: value classes derive from
   ``value.Value``, and ``import cyclekit.cli`` loads neither
   ``dataclasses``, ``inspect`` nor ``typing``.
+* ``import cyclekit`` loads no submodule, ``import cyclekit.cli`` only
+  what its parser needs, and a command only the layers it uses.
 """
 
 import ast
@@ -135,14 +137,33 @@ def test_no_dataclasses(path):
     assert uses == []
 
 
-def test_cli_import_leaves_heavy_modules_unloaded():
+def loaded(code):
+    """The modules a fresh ``-S`` interpreter holds after running ``code``."""
     # -S keeps site hooks, which may load typing themselves, out of the count.
-    probe = (
-        "import sys, cyclekit.cli; "
-        "print(' '.join(m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules))"
-    )
+    probe = f"import sys\n{code}\nprint(' '.join(sorted(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=str(Path(cyclekit.__file__).parent.parent))
     result = subprocess.run(
         [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert result.stdout.strip() == ""
+    return set(result.stdout.splitlines()[-1].split())
+
+
+def submodules(modules):
+    return {name.split(".", 1)[1] for name in modules if name.startswith("cyclekit.")}
+
+
+def after_command(argv):
+    return submodules(loaded(f"from cyclekit.cli import cli_main\nassert cli_main({argv!r}) == 0"))
+
+
+def test_cli_import_leaves_heavy_modules_unloaded():
+    assert submodules(loaded("import cyclekit")) == set()
+    cli = loaded("import cyclekit.cli")
+    assert cli.isdisjoint({"dataclasses", "inspect", "typing"})
+    assert submodules(cli) == {"cli", "errors", "numbers", "value", "hypercomplex"}
+    orbit = after_command(["orbit", "--base", "0,2", "--sigma", "e", "--params", "1", "--exact"])
+    assert "moebius" in orbit
+    assert orbit.isdisjoint({"cycle", "relations", "metric", "svgout", "figures"})
+    distance = after_command(["distance", "--sigma", "p", "0,0", "3,4"])
+    assert "metric" in distance
+    assert distance.isdisjoint({"relations", "svgout", "figures"})
