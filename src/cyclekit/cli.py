@@ -222,21 +222,20 @@ def _dispatch(args) -> int:
     command = args.command
     exact = _resolve_mode(args)
     if command == "draw":
-        from .svgout import CycleSetDocument, parse_document, render_svg
+        from .svgout import CycleSetDocument, parse_document, render_svg, write_text
 
         with open(args.infile, "r", encoding="utf-8") as handle:
             doc = parse_document(handle.read(), exact)
         if args.sigma is not None:
             doc = CycleSetDocument(args.sigma, doc.cycles, doc.points, doc.viewport)
         text = render_svg(doc)
-        with open(args.outfile, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        write_text(args.outfile, text)
         return 0
 
     if command == "transform":
         from .cycle import FSCcContext, similarity_transform
         from .moebius import INFINITY, GroupElement, Point, mobius_apply
-        from .svgout import CycleSetDocument, document_to_json, parse_document
+        from .svgout import CycleSetDocument, document_to_json, parse_document, write_text
 
         g = _parse(GroupElement, args.g, exact, "group element", "a,b,c,d")
         ctx = FSCcContext(args.sigma_cycle, args.s)
@@ -249,8 +248,7 @@ def _dispatch(args) -> int:
             if image is not INFINITY:
                 points.append((image.u, image.v))
         text = _text(document_to_json, CycleSetDocument(doc.sigma, cycles, points, doc.viewport))
-        with open(args.outfile, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text + "\n")
+        write_text(args.outfile, text + "\n")
         return 0
 
     if command == "check":

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import os
-from functools import partial
+from functools import cache, partial
 
 from .cycle import (
     CycleQuadruple,
@@ -30,7 +30,7 @@ from .hypercomplex import SpaceSign
 from .moebius import INFINITY, Point, orbit_uv, subgroup_element
 from .numbers import fmt12, parse_scalars
 from .relations import common_inverse_point, ghost_cycle, orthogonal_family, s_ghost
-from .svgout import CANVAS_PX, CycleSetDocument, CycleStyle, polyline, render_svg
+from .svgout import CANVAS_PX, CycleSetDocument, CycleStyle, polyline, render_svg, write_text
 from .value import Value
 
 RED = "#c62828"
@@ -78,8 +78,7 @@ def run_figure(recipe: FigureRecipe, out_dir: str) -> list[str]:
     paths = []
     for panel_name, text in panels:
         path = os.path.join(out_dir, f"{recipe.name}-{panel_name}.svg")
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        write_text(path, text)
         paths.append(path)
     return paths
 
@@ -113,6 +112,12 @@ def _orbit_parameters(samples: int = 257) -> list[float]:
     return params
 
 
+@cache
+def _rotation_grid() -> tuple:
+    """The rotations K(t) over ``_orbit_parameters()``, built once."""
+    return tuple(subgroup_element("K", t) for t in _orbit_parameters())
+
+
 def _polyline_runs(images, viewport) -> list[str]:
     """Split (u, v) pairs into runs at None and at points far outside the viewport."""
     umin, umax, vmin, vmax = viewport
@@ -132,7 +137,7 @@ def _polyline_runs(images, viewport) -> list[str]:
 
 def _fig_k_orbits(params: dict[str, str]):
     viewport = (-3.0, 3.0, -3.0, 3.0)
-    rotations = [subgroup_element("K", t) for t in _orbit_parameters()]
+    rotations = _rotation_grid()
     orbit_attrs = f'fill="none" stroke="{BLUE}" stroke-width="{fmt12(2.0 * 6.0 / CANVAS_PX)}"'
     traversal_ts = [math.tan(phi / 2.0) for phi in (-1.2, -0.8, -0.4, 0.4, 0.8, 1.2)]
     panels = []

@@ -11,18 +11,9 @@ from __future__ import annotations
 
 import math
 import warnings
+from functools import cache
+from importlib import import_module
 
-from .cycle import (
-    CycleQuadruple,
-    FSCcContext,
-    HasFocus,
-    HasKindCentre,
-    Normalised,
-    PassesThrough,
-    cycle_from_constraints,
-    pencil,
-    radius_sq,
-)
 from .errors import (
     BranchInstability,
     CycleKitError,
@@ -31,9 +22,20 @@ from .errors import (
     Inconsistent,
 )
 from .hypercomplex import SpaceSign
-from .moebius import GroupElement, Point, mobius_apply
 from .numbers import REL_TOL, Scalar, div, vanishes
 from .value import Value
+
+
+@cache
+def _layer(name: str):
+    """The sibling module ``name``, imported when a function first needs it.
+
+    So a caller of ``distance_sq`` alone loads neither the solver
+    (``cycle``) nor the group action (``moebius``).  The cache spares
+    ``length``, which runs many times in one conformality or
+    perpendicularity query, an import statement (about 2 us) per call.
+    """
+    return import_module(f".{name}", __package__)
 
 
 class DirectedInterval(Value):
@@ -97,26 +99,28 @@ def variational_distance_oracle(
     independent of the closed-form distance.  Supported for the
     elliptic/elliptic regime; other regimes are attempted with a warning.
     """
+    cycle = _layer("cycle")
     if not (sigma == SpaceSign.ELLIPTIC and sigma_cycle == SpaceSign.ELLIPTIC):
         warnings.warn(
             "variational distance outside the elliptic regime is experimental",
             ExperimentalRegimeWarning,
             stacklevel=2,
         )
-    base, basis, _ = pencil(
+    base, basis, _ = cycle.pencil(
         [
-            PassesThrough((float(a[0]), float(a[1])), sigma),
-            PassesThrough((float(b[0]), float(b[1])), sigma),
-            Normalised(),
+            cycle.PassesThrough((float(a[0]), float(a[1])), sigma),
+            cycle.PassesThrough((float(b[0]), float(b[1])), sigma),
+            cycle.Normalised(),
         ]
     )
     if len(basis) != 1:
         raise Inconsistent("point pair does not define a one-parameter pencil")
     direction = basis[0]
-    ctx = FSCcContext(sigma_cycle, 1)
+    ctx = cycle.FSCcContext(sigma_cycle, 1)
+    quadruple, radius_sq = cycle.CycleQuadruple, cycle.radius_sq  # looked up once, not per probe
 
     def diameter_sq(t: float) -> float:
-        quad = CycleQuadruple(*(x + t * y for x, y in zip(base, direction)))
+        quad = quadruple(*(x + t * y for x, y in zip(base, direction)))
         return 4.0 * float(radius_sq(quad, ctx))
 
     # Bracket the extremum on an exponential grid (the pencil parameter
@@ -156,12 +160,13 @@ def length(interval: DirectedInterval, kind: LengthKind) -> list[Scalar]:
     """
     if isinstance(kind, Distance):
         return [distance_sq(interval.a, interval.b, kind.sigma)]
+    cycle = _layer("cycle")
     if isinstance(kind, FromCentre):
-        cycles = cycle_from_constraints(
+        cycles = cycle.cycle_from_constraints(
             [
-                HasKindCentre(interval.a, kind.sigma_cycle),
-                PassesThrough(interval.b, kind.sigma),
-                Normalised(),
+                cycle.HasKindCentre(interval.a, kind.sigma_cycle),
+                cycle.PassesThrough(interval.b, kind.sigma),
+                cycle.Normalised(),
             ]
         )
     elif isinstance(kind, FromFocus):
@@ -169,17 +174,17 @@ def length(interval: DirectedInterval, kind: LengthKind) -> list[Scalar]:
             raise DegenerateFocalPoint(
                 "every cycle with a real-axis focus through another point is zero-radius"
             )
-        cycles = cycle_from_constraints(
+        cycles = cycle.cycle_from_constraints(
             [
-                HasFocus(interval.a, kind.sigma_cycle),
-                PassesThrough(interval.b, kind.sigma),
-                Normalised(),
+                cycle.HasFocus(interval.a, kind.sigma_cycle),
+                cycle.PassesThrough(interval.b, kind.sigma),
+                cycle.Normalised(),
             ]
         )
     else:
         raise TypeError(f"unknown length kind {kind!r}")
-    ctx = FSCcContext(kind.sigma_cycle, 1)
-    values = [radius_sq(c, ctx) for c in cycles]
+    ctx = cycle.FSCcContext(kind.sigma_cycle, 1)
+    values = [cycle.radius_sq(c, ctx) for c in cycles]
     return sorted(values, key=float)
 
 
@@ -241,16 +246,17 @@ def conformality_ratios(
     Ratios of first branches, square-rooted; for a Moebius-conformal
     length the spread across directions vanishes as t -> 0.
     """
+    moebius = _layer("moebius")
     sigma = kind.sigma
-    base = Point(float(y[0]), float(y[1]))
-    image = mobius_apply(g, base, sigma)
-    if not isinstance(image, Point):
+    base = moebius.Point(float(y[0]), float(y[1]))
+    image = moebius.mobius_apply(g, base, sigma)
+    if not isinstance(image, moebius.Point):
         raise CycleKitError("base point maps to INFINITY")
     ratios = []
     for direction in dirs:
-        shifted = Point(base.u + t * float(direction[0]), base.v + t * float(direction[1]))
-        shifted_image = mobius_apply(g, shifted, sigma)
-        if not isinstance(shifted_image, Point):
+        shifted = moebius.Point(base.u + t * float(direction[0]), base.v + t * float(direction[1]))
+        shifted_image = moebius.mobius_apply(g, shifted, sigma)
+        if not isinstance(shifted_image, moebius.Point):
             raise CycleKitError("shifted point maps to INFINITY")
         before = DirectedInterval((base.u, base.v), (shifted.u, shifted.v))
         after = DirectedInterval((image.u, image.v), (shifted_image.u, shifted_image.v))

@@ -127,8 +127,9 @@ def orbit_uv(elements, z: Point, sigma: SpaceSign) -> list[tuple[Scalar, Scalar]
 
     The one expansion of the action: (az+b) * conj(cz+d) / modsq(cz+d)
     over the scalars, with no Point built per image.  None stands where
-    the modulus vanishes and ``mobius_apply`` gives INFINITY; the
-    quotients follow ``div``, so exact input gives Fractions.
+    the modulus vanishes and ``mobius_apply`` gives INFINITY.  The
+    quotients are ``div``'s: a float modulus divides with ``/``, which is
+    what ``div`` computes then, and exact input gives Fractions.
     """
     u, v = z.u, z.v
     sig = int(sigma)
@@ -141,7 +142,10 @@ def orbit_uv(elements, z: Point, sigma: SpaceSign) -> list[tuple[Scalar, Scalar]
             images.append(None)
             continue
         re = (a * u + b) * den_re - sig * a * c * v * v
-        images.append((div(re, mod), div(v * (a * d - b * c), mod)))
+        if type(mod) is float:  # div's float branch, without the call
+            images.append((re / mod, v * (a * d - b * c) / mod))
+        else:
+            images.append((div(re, mod), div(v * (a * d - b * c), mod)))
     return images
 
 

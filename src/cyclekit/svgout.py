@@ -10,13 +10,16 @@ interval is sampled at 160 abscissae shared by both branches, keeping
 the samples that fall within one viewport height of the viewport.  All
 numbers are formatted to at most 12 significant digits with "-0"
 normalised, so a given document always renders to identical bytes.
+``write_text`` is the one writer of every file the package writes.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import re
+import stat
 from bisect import bisect_left, bisect_right
 
 from .cycle import CycleQuadruple, FSCcContext, centre, radius_sq
@@ -389,5 +392,32 @@ def polyline(points, attrs: str) -> str:
     Adding 0.0 turns -0.0 into 0.0 and converts int and Fraction
     coordinates to float, leaving every other value unchanged.
     """
-    coords = " ".join(["%.12g,%.12g" % (u + 0.0, v + 0.0) for u, v in points])
-    return f'<polyline points="{coords}" {attrs}/>'
+    coords = tuple([x + 0.0 for point in points for x in point])
+    template = " ".join(["%.12g,%.12g"] * (len(coords) // 2))
+    return f'<polyline points="{template % coords}" {attrs}/>'
+
+
+def write_text(path: str, text: str) -> None:
+    """Write ``text`` as UTF-8 to ``path``, overwriting an existing file in place.
+
+    The file is opened without ``O_TRUNC``, so an existing file keeps its
+    inode, mode, hard links and symlink target and is never cut to zero
+    first; it is cut only when the old file was the longer one, so a
+    device such as /dev/null or a pipe never sees ``ftruncate``.  If the
+    write raises, the file is cut at the bytes already written, leaving
+    no new bytes followed by the old tail, and the exception propagates.
+    """
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        info = os.fstat(fd)
+        old_size = info.st_size if stat.S_ISREG(info.st_mode) else 0
+        written = 0
+        try:
+            while written < len(data):
+                written += os.write(fd, data[written:])
+        finally:
+            if old_size > written:  # also after a failed write
+                os.ftruncate(fd, written)
+    finally:
+        os.close(fd)

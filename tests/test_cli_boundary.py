@@ -1,6 +1,7 @@
 """Bad input at the CLI and document boundary: exit code, one stderr line, no output."""
 
 import json
+import os
 import sys
 import time
 
@@ -304,3 +305,31 @@ def test_draw_sigma_overrides_the_document_sign(tmp_path):
     # the document's elliptic sign draws a circle; the parabolic override a Bezier parabola
     assert "<circle" in texts[None] and "<path" not in texts[None]
     assert "<path" in texts["p"]
+
+
+def test_draw_to_dev_null_succeeds(tmp_path):
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(GOOD_DOC), encoding="utf-8")
+    assert cli_main(["draw", "--in", str(doc), "--out", os.devnull]) == 0
+
+
+def test_draw_failing_half_way_is_one_io_error_line_and_no_old_tail(capsys, tmp_path, monkeypatch):
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(GOOD_DOC), encoding="utf-8")
+    out = tmp_path / "out.svg"
+    out.write_bytes(b"old " * 5_000)
+    real_write = os.write
+    written = []
+
+    def half_then_fail(fd, data):
+        if not written:
+            written.append(bytes(data[: len(data) // 2]))
+            return real_write(fd, written[0])
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "write", half_then_fail)
+    code, err = run(capsys, ["draw", "--in", str(doc), "--out", str(out)])
+    monkeypatch.undo()
+    assert code == 3
+    assert err.startswith("i/o error: ")
+    assert out.read_bytes() == written[0]

@@ -26,7 +26,7 @@ from cyclekit import (
     similarity_transform,
     subgroup_element,
 )
-from cyclekit.figures import _orbit_parameters
+from cyclekit.figures import _orbit_parameters, _rotation_grid
 from cyclekit.moebius import orbit_uv
 from cyclekit.numbers import div
 
@@ -339,3 +339,30 @@ def test_orbit_kernel_on_the_figure_rotations(v0, u0, sigma):
     rotations = [subgroup_element("K", t) for t in _orbit_parameters()]
     assert_kernel_matches(rotations, Point(0.0, v0), sigma)
     assert_kernel_matches(rotations, Point(u0, v0), sigma)
+
+
+@given(st.lists(float_elements() | exact_elements(), max_size=12), st.builds(Point, FLOAT, FLOAT), SIGNS)
+def test_float_orbit_uv_divides_like_div(elements, z, sigma):
+    """A float modulus divides with ``/``, bit for bit what the ``div`` formula gives."""
+    for g, image in zip(elements, orbit_uv(elements, z, sigma)):
+        want = per_point_apply(g, z, sigma)
+        if want is INFINITY:
+            assert image is None
+        else:
+            assert same_scalar(image[0], want.u) and same_scalar(image[1], want.v)
+
+
+@given(
+    st.lists(exact_elements(), max_size=8),
+    st.builds(Point, EXACT, EXACT) | st.builds(Point, st.integers(-8, 8), st.integers(-8, 8)),
+    SIGNS,
+)
+def test_exact_orbit_uv_keeps_exact_components(elements, z, sigma):
+    for image in orbit_uv(elements, z, sigma):
+        assert image is None or all(type(x) in (int, Fraction) for x in image)
+
+
+def test_rotation_grid_is_one_cached_tuple_equal_to_a_fresh_build():
+    grid = _rotation_grid()
+    assert type(grid) is tuple and grid is _rotation_grid()
+    assert grid == tuple(subgroup_element("K", t) for t in _orbit_parameters())

@@ -40,6 +40,20 @@ def test_polyline_formats_like_fmt12(points):
     assert polyline(points, ATTRS) == f'<polyline points="{coords}" {ATTRS}/>'
 
 
+def per_point_polyline(points, attrs):
+    """``polyline`` as it formatted one point at a time, before the single ``%``."""
+    coords = " ".join(["%.12g,%.12g" % (u + 0.0, v + 0.0) for u, v in points])
+    return f'<polyline points="{coords}" {attrs}/>'
+
+
+@given(st.lists(st.tuples(COORDS, COORDS), max_size=40))
+@example([])
+@example([(-0.0, -0.0), (0, Fraction(-1, 3))])
+@example([(3, -7), (Fraction(0), -0.0), (Fraction(22, 7), 10**300)])
+def test_polyline_matches_the_per_point_join(points):
+    assert polyline(points, ATTRS) == per_point_polyline(points, ATTRS)
+
+
 def scan_hyperbola_polylines(k, l, n, m, doc, attrs):
     """The scan-based sampler the one-grid sampler replaced, kept as the oracle."""
     umin, umax, vmin, vmax = doc.viewport

@@ -167,3 +167,4 @@ def test_cli_import_leaves_heavy_modules_unloaded():
     distance = after_command(["distance", "--sigma", "p", "0,0", "3,4"])
     assert "metric" in distance
     assert distance.isdisjoint({"relations", "svgout", "figures"})
+    assert distance.isdisjoint({"cycle", "moebius"})

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import xml.dom.minidom
 
 import pytest
@@ -12,6 +13,7 @@ from cyclekit.svgout import (
     document_to_json,
     parse_document,
     render_svg,
+    write_text,
 )
 
 E, P, H = SpaceSign.ELLIPTIC, SpaceSign.PARABOLIC, SpaceSign.HYPERBOLIC
@@ -174,3 +176,69 @@ def test_zero_radius_recipe_panel_count():
     with tempfile.TemporaryDirectory() as d:
         paths = run_figure(FigureRecipe("fig-zero-radius"), d)
         assert len(paths) == 9
+
+
+# Parameters other than the defaults, so a re-render overwrites different bytes.
+OTHER_PARAMETERS = {
+    "fig-eph-cycle": {"cycle": "1,0.5,-2,-1"},
+    "fig-zero-radius": {"point": "-0.75,1.25"},
+    "fig-ortho1": {"b": "0.6,1.4"},
+    "fig-ortho2": {"b": "0.6,1.4"},
+}
+
+
+@pytest.mark.parametrize("name", RECIPE_NAMES)
+def test_rerender_over_existing_panels_matches_a_fresh_directory(tmp_path, name):
+    reused = tmp_path / "reused"
+    run_figure(FigureRecipe(name, OTHER_PARAMETERS.get(name, {})), str(reused))
+    paths = run_figure(FigureRecipe(name), str(reused))
+    fresh = run_figure(FigureRecipe(name), str(tmp_path / "fresh"))
+    assert sorted(os.listdir(reused)) == sorted(os.listdir(tmp_path / "fresh"))
+    for old, new in zip(paths, fresh):
+        assert open(old, "rb").read() == open(new, "rb").read()
+
+
+def test_write_text_cuts_a_longer_old_file_to_the_new_length(tmp_path):
+    path = tmp_path / "out.svg"
+    path.write_bytes(b"x" * 10_000)
+    write_text(str(path), "<svg>\u00e9</svg>\n")
+    assert path.read_bytes() == "<svg>\u00e9</svg>\n".encode("utf-8")
+    write_text(str(path), "<svg>" + "y" * 50 + "</svg>\n")
+    assert path.read_bytes() == ("<svg>" + "y" * 50 + "</svg>\n").encode("utf-8")
+
+
+def test_write_text_keeps_inode_mode_hard_links_and_symlink_target(tmp_path):
+    path = tmp_path / "out.svg"
+    path.write_bytes(b"old contents, longer than the new ones")
+    os.chmod(path, 0o640)
+    link = tmp_path / "hard.svg"
+    os.link(path, link)
+    alias = tmp_path / "alias.svg"
+    os.symlink(path.name, alias)
+    before = os.stat(path)
+    write_text(str(alias), "new\n")
+    after = os.stat(path)
+    assert (after.st_ino, after.st_mode, after.st_nlink) == (before.st_ino, before.st_mode, 2)
+    assert os.readlink(alias) == path.name
+    assert path.read_bytes() == link.read_bytes() == b"new\n"
+
+
+def test_write_text_failing_half_way_leaves_no_old_tail(tmp_path, monkeypatch):
+    path = tmp_path / "out.svg"
+    path.write_bytes(b"old " * 5_000)
+    text = render_svg(UNIT_DOC)
+    real_write = os.write
+    calls = []
+
+    def half_then_fail(fd, data):
+        calls.append(len(data))
+        if len(calls) == 1:
+            return real_write(fd, data[: len(data) // 2])
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "write", half_then_fail)
+    with pytest.raises(OSError):
+        write_text(str(path), text)
+    monkeypatch.undo()
+    data = text.encode("utf-8")
+    assert path.read_bytes() == data[: len(data) // 2]
