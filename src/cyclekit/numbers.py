@@ -8,13 +8,18 @@ exact/float policy lives here alone: ``vanishes`` is the one zero test
 (exact equality, or ``REL_TOL`` scaled by the operands' magnitudes),
 ``scalar_sqrt``/``sqrt_or_float`` are the two square-root rules, and
 ``parse_scalar`` is the one rule for scalars read from text (the CLI, the
-figure parameters and the JSON document reader).
+figure parameters and the JSON document reader).  ``clear_denominators``
+and ``from_numerators`` are the one place where a polynomial's exact or
+float evaluation is decided: the caller writes the polynomial once, over
+the integer numerators of exact operands (one common denominator per
+group, one ``Fraction`` per output) or over the float operands as given.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 
 from .errors import ExactModeError
 
@@ -48,6 +53,42 @@ def vanishes(value: Scalar, *groups) -> bool:
     for group in groups:
         scale *= max(1.0, *(abs(float(x)) for x in group))
     return abs(value) <= REL_TOL * scale
+
+
+def clear_denominators(*groups):
+    """The operands of one polynomial as integers over one denominator per group.
+
+    Exact operands give ``(numerators, denominators)``: per group, the
+    integers ``v * d`` and the least common denominator ``d`` of its
+    operands ``v``.  A float anywhere gives the groups as they are, each
+    over ``1.0``, so the polynomial runs on the given values.
+    """
+    if not is_exact(*chain.from_iterable(groups)):
+        return groups, (1.0,) * len(groups)
+    numerators, denominators = [], []
+    for group in groups:
+        den = math.lcm(*[v.denominator for v in group])
+        numerators.append([v.numerator * (den // v.denominator) for v in group])
+        denominators.append(den)
+    return numerators, denominators
+
+
+def from_numerators(values, den, operands):
+    """The outputs of a polynomial evaluated over ``clear_denominators``.
+
+    ``den`` is the product of the group denominators, one factor per
+    degree, and ``operands[i]`` the original operands that output i reads.
+    Float mode (``den`` a float) hands the values back.  An exact output is
+    one ``Fraction`` when one of its operands is a ``Fraction``, as its
+    expression over them would have been; otherwise it is the ``int``
+    ``value // den``, exact because the output is homogeneous.
+    """
+    if isinstance(den, float):
+        return tuple(values)
+    return tuple(
+        Fraction(value, den) if any(isinstance(v, Fraction) for v in ops) else value // den
+        for value, ops in zip(values, operands)
+    )
 
 
 def zero_like(value: Scalar) -> Scalar:

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .hypercomplex import SpaceSign
 from .moebius import INFINITY, PointOrInfinity
-from .numbers import Scalar, div, vanishes
+from .numbers import Scalar, clear_denominators, div, from_numerators, vanishes
 
 
 def heaviside(t: Scalar) -> int:
@@ -43,16 +43,19 @@ def pairing(c1: CycleQuadruple, c2: CycleQuadruple, ctx: FSCcContext) -> Scalar:
     """Real part of trace(M1 * conj(M2)); symmetric and bilinear.
 
     Expanded: 2*l1*l2 - 2*sigma_cycle*s^2*n1*n2 - m1*k2 - k1*m2.  The
-    self-pairing equals -2 det.
+    self-pairing equals -2 det.  Exact quadruples are paired over their
+    integer numerators (``numbers.clear_denominators``) and the sum is
+    divided once by d1 d2; a float in either quadruple evaluates the same
+    expression on the given values.
     """
     sig = int(ctx.sigma_cycle)
     s2 = ctx.s * ctx.s
-    return (
-        2 * c1.l * c2.l
-        - 2 * sig * s2 * c1.n * c2.n
-        - c1.m * c2.k
-        - c1.k * c2.m
+    ops1, ops2 = c1.components(), c2.components()
+    ((k1, l1, n1, m1), (k2, l2, n2, m2)), (d1, d2) = clear_denominators(ops1, ops2)
+    (value,) = from_numerators(
+        [2 * l1 * l2 - 2 * sig * s2 * n1 * n2 - m1 * k2 - k1 * m2], d1 * d2, [ops1 + ops2]
     )
+    return value
 
 
 def is_orthogonal(c1: CycleQuadruple, c2: CycleQuadruple, ctx: FSCcContext) -> bool:
@@ -83,19 +86,29 @@ def _sandwich(
     With M = R + i*s*n and R traceless real, R1 R2 R1 = tr(R1 R2) R1 -
     (l1^2 - m1 k1) R2.  The m1 terms cancel from k and the k1 terms from
     m; leaving them out keeps the result types of the matrix product.
+    Exact quadruples enter as integer numerators over one denominator
+    each (``numbers.clear_denominators``).  Every output has degree 2 in
+    the mirror and 1 in the cycle, so each is divided once by d1^2 d2 and
+    keeps the type its expression over the components had.  A float in
+    either quadruple evaluates the same expressions on the given values.
     """
-    k1, l1, n1, m1 = mirror.components()
-    k2, l2, n2, m2 = cycle.components()
+    outer, inner = mirror.components(), cycle.components()
+    ((k1, l1, n1, m1), (k2, l2, n2, m2)), (d1, d2) = clear_denominators(outer, inner)
     sig_s2 = int(sigma_cycle) * s * s
     trace = 2 * l1 * l2 - m1 * k2 - k1 * m2
     square = l1 * l1 - m1 * k1
     shared = 2 * l1 * l2 + 2 * sig_s2 * n1 * n2
     rest = sig_s2 * n1 * n1 - l1 * l1
-    return (
-        k1 * (shared - k1 * m2) + k2 * rest,
-        (trace + 2 * sig_s2 * n1 * n2) * l1 + (sig_s2 * n1 * n1 - square) * l2,
-        n1 * trace + n2 * square + sig_s2 * n1 * n1 * n2,
-        m1 * (shared - m1 * k2) + m2 * rest,
+    both = outer + inner
+    return from_numerators(
+        (
+            k1 * (shared - k1 * m2) + k2 * rest,
+            (trace + 2 * sig_s2 * n1 * n2) * l1 + (sig_s2 * n1 * n1 - square) * l2,
+            n1 * trace + n2 * square + sig_s2 * n1 * n1 * n2,
+            m1 * (shared - m1 * k2) + m2 * rest,
+        ),
+        d1 * d1 * d2,
+        (outer[:3] + inner, both, both, outer[1:] + inner),
     )
 
 

@@ -72,7 +72,8 @@ def parse_document(text: str, exact: bool = False) -> CycleSetDocument:
     Malformed JSON raises ``json.JSONDecodeError``.  A document that
     parses but breaks the schema (a missing key, a scalar ``parse_scalar``
     rejects, the zero quadruple, an empty viewport, an integer literal
-    longer than ``int`` converts) raises ``DocumentError``.
+    longer than ``int`` converts, a stroke colour holding a lone surrogate,
+    which the SVG could not be written with) raises ``DocumentError``.
     """
     try:
         raw = json.loads(text)
@@ -101,6 +102,10 @@ def parse_document(text: str, exact: bool = False) -> CycleSetDocument:
         stroke = style_raw.get("stroke", DEFAULT_STROKE) if isinstance(style_raw, dict) else None
         if not isinstance(stroke, str) or any(ch in stroke for ch in '"<&'):
             raise DocumentError(f"{where}: style needs a stroke colour without '\"', '<' or '&'")
+        try:
+            stroke.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise DocumentError(f"{where}: stroke colour has no UTF-8 encoding ({exc.reason})") from exc
         cycles.append((quad, CycleStyle(stroke, bool(style_raw.get("dash", False)))))
     points = []
     for index, entry in enumerate(_items(raw.get("points", []), "points")):

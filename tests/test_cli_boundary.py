@@ -333,3 +333,18 @@ def test_draw_failing_half_way_is_one_io_error_line_and_no_old_tail(capsys, tmp_
     assert code == 3
     assert err.startswith("i/o error: ")
     assert out.read_bytes() == written[0]
+
+
+@pytest.mark.parametrize("command", ["draw", "transform"])
+def test_stroke_without_utf8_encoding_is_a_document_error(capsys, tmp_path, command):
+    # JSON "\ud800" reads as a lone surrogate, which no UTF-8 file can hold
+    cycle = {"k": 1, "l": 0, "n": 0, "m": -1, "style": {"stroke": "\ud800"}}
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(dict(GOOD_DOC, cycles=[cycle])), encoding="utf-8")
+    out = tmp_path / "out"
+    out.write_text("previous\n", encoding="utf-8")
+    extra = ["--g", "1,0,0,1"] if command == "transform" else []
+    code, err = run(capsys, [command, *extra, "--in", str(doc), "--out", str(out)])
+    assert code == 3
+    assert err.startswith("document error: cycle 0") and "stroke" in err
+    assert out.read_text(encoding="utf-8") == "previous\n"

@@ -3,7 +3,7 @@ import warnings
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ALL_SIGNS, rand_cycle, rand_fraction, rand_group_exact, rand_real_circle
@@ -39,7 +39,7 @@ from cyclekit import (
     zero_radius_cycle,
 )
 from cyclekit.cycle import normalized_key
-from cyclekit.numbers import is_exact
+from cyclekit.numbers import div, is_exact, vanishes
 
 E, P, H = ALL_SIGNS
 CTX_E = FSCcContext(E, 1)
@@ -432,3 +432,173 @@ def family_outcome(sampler, call):
 @given(family_calls())
 def test_orthogonal_family_matches_the_replaced_sampler(call):
     assert family_outcome(orthogonal_family, call) == family_outcome(ref_orthogonal_family, call)
+
+
+# ---------------------------------------------------------------------------
+# The Fraction formulas that the integer-numerator evaluation replaced, kept
+# as the reference: every output must match in value and in type, floats
+# bit for bit, and every error and warning must be the same.
+
+
+def ref_pairing(c1, c2, ctx):
+    sig = int(ctx.sigma_cycle)
+    s2 = ctx.s * ctx.s
+    return 2 * c1.l * c2.l - 2 * sig * s2 * c1.n * c2.n - c1.m * c2.k - c1.k * c2.m
+
+
+def ref_is_orthogonal(c1, c2, ctx):
+    return vanishes(ref_pairing(c1, c2, ctx), c1.components(), c2.components())
+
+
+def ref_sandwich(mirror, cycle, sigma_cycle, s):
+    k1, l1, n1, m1 = mirror.components()
+    k2, l2, n2, m2 = cycle.components()
+    sig_s2 = int(sigma_cycle) * s * s
+    trace = 2 * l1 * l2 - m1 * k2 - k1 * m2
+    square = l1 * l1 - m1 * k1
+    shared = 2 * l1 * l2 + 2 * sig_s2 * n1 * n2
+    rest = sig_s2 * n1 * n1 - l1 * l1
+    return (
+        k1 * (shared - k1 * m2) + k2 * rest,
+        (trace + 2 * sig_s2 * n1 * n2) * l1 + (sig_s2 * n1 * n1 - square) * l2,
+        n1 * trace + n2 * square + sig_s2 * n1 * n1 * n2,
+        m1 * (shared - m1 * k2) + m2 * rest,
+    )
+
+
+def ref_reflect_cycle(mirror, cycle, ctx, conjugate_argument=True):
+    inner = cycle
+    if conjugate_argument:
+        inner = CycleQuadruple(cycle.k, cycle.l, -cycle.n, cycle.m)
+    k, l, x, m = ref_sandwich(mirror, inner, ctx.sigma_cycle, ctx.s)
+    if k == 0 and l == 0 and m == 0 and x == 0:
+        raise DegenerateReflection("reflection collapsed to the zero quadruple")
+    return CycleQuadruple(k, l, div(ctx.s * x, ctx.s), m)
+
+
+def ref_invert_point(cycle, b, ctx):
+    reflected = ref_reflect_cycle(cycle, zero_radius_cycle(b, ctx), ctx)
+    if reflected.k == 0:
+        return INFINITY
+    return centre(reflected, ctx.sigma_cycle)
+
+
+def ref_is_s_orthogonal(cycle, other, ctx):
+    if ctx.sigma_cycle == P:
+        warnings.warn("s-orthogonality degenerates", DegenerateRelationWarning, stacklevel=2)
+        return True
+    imag = ref_sandwich(cycle, other, ctx.sigma_cycle, ctx.s)[2]
+    trace = 2 * int(ctx.sigma_cycle) * ctx.s * ctx.s * imag
+    comps = cycle.components()
+    return vanishes(trace, comps, comps, other.components())
+
+
+def ref_s_ghost(cycle, sigma, sigma_cycle):
+    if sigma_cycle == P:
+        raise DegenerateReflection("s-ghost collapses to the real line")
+    s = heaviside(int(sigma))
+    k, l, x, m = ref_sandwich(cycle, REAL_LINE, sigma_cycle, s)
+    if k == 0 and l == 0 and m == 0 and x == 0:
+        raise DegenerateReflection("s-ghost collapsed to the zero quadruple")
+    return CycleQuadruple(k, l, div(s * x, 1), m)
+
+
+# (library function, reference) -> the arguments taken from one case
+RELATION_CALLS = {
+    "pairing": (pairing, ref_pairing, lambda c: (c["c1"], c["c2"], c["ctx"])),
+    "is_orthogonal": (is_orthogonal, ref_is_orthogonal, lambda c: (c["c1"], c["c2"], c["ctx"])),
+    "reflect_cycle": (reflect_cycle, ref_reflect_cycle, lambda c: (c["c1"], c["c2"], c["ctx"])),
+    "reflect_cycle_raw": (
+        reflect_cycle, ref_reflect_cycle, lambda c: (c["c1"], c["c2"], c["ctx"], False)
+    ),
+    "s_ghost": (s_ghost, ref_s_ghost, lambda c: (c["c1"], c["sigma"], c["ctx"].sigma_cycle)),
+    "is_s_orthogonal": (
+        is_s_orthogonal, ref_is_s_orthogonal, lambda c: (c["c1"], c["c2"], c["ctx"])
+    ),
+    "invert_point": (invert_point, ref_invert_point, lambda c: (c["c1"], c["point"], c["ctx"])),
+}
+
+INTS = st.integers(-6, 6)
+FRACTIONS = st.fractions(min_value=-6, max_value=6, max_denominator=8)
+EXACT_MIX = st.one_of(INTS, FRACTIONS, st.booleans())
+FLOATS = st.one_of(FRACTIONS.map(float), st.floats(-6, 6, allow_nan=False))
+# one scalar strategy per quadruple, so that one quadruple may be float and the other exact
+MODES = [INTS, FRACTIONS, st.booleans(), EXACT_MIX, FLOATS, st.one_of(EXACT_MIX, FLOATS)]
+
+
+@st.composite
+def relation_cases(draw):
+    def quadruple():
+        scalar = draw(st.sampled_from(MODES))
+        return CycleQuadruple(*draw(st.tuples(scalar, scalar, scalar, scalar).filter(any)))
+
+    point_scalar = draw(st.sampled_from(MODES))
+    return {
+        "c1": quadruple(),
+        "c2": quadruple(),
+        "ctx": FSCcContext(draw(st.sampled_from(ALL_SIGNS)), draw(st.sampled_from([1, -1]))),
+        "sigma": draw(st.sampled_from(ALL_SIGNS)),
+        "point": (draw(point_scalar), draw(point_scalar)),
+    }
+
+
+def case(c1, c2, sigma_cycle, s=1, sigma=E, point=(1, 2)):
+    return {
+        "c1": CycleQuadruple(*c1),
+        "c2": CycleQuadruple(*c2),
+        "ctx": FSCcContext(sigma_cycle, s),
+        "sigma": sigma,
+        "point": point,
+    }
+
+
+def typed(value):
+    """The value with the type of every scalar in it; floats by their bits."""
+    if isinstance(value, CycleQuadruple):
+        return typed(value.components())
+    if isinstance(value, Point):
+        return typed((value.u, value.v))
+    if isinstance(value, tuple):
+        return tuple(typed(x) for x in value)
+    if isinstance(value, float):
+        return (float, value.hex())
+    return (type(value), value)
+
+
+def relation_outcome(func, args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = typed(func(*args))
+        except Exception as exc:  # the class is what is compared
+            result = type(exc)
+    return result, [w.category for w in caught]
+
+
+ONLY_M1_FRACTION = case((1, 2, 3, Fraction(1, 2)), (1, 0, 1, -1), E)
+ONLY_K1_FRACTION = case((Fraction(1, 2), 2, 3, 1), (1, 0, 1, -1), H, s=-1)
+
+
+@pytest.mark.parametrize("name", sorted(RELATION_CALLS))
+@settings(max_examples=150)
+@given(relation_cases())
+@example(ONLY_M1_FRACTION)
+@example(ONLY_K1_FRACTION)
+# the real line mirrors every cycle to the zero quadruple in the parabolic cycle space
+@example(case((0, 0, Fraction(1, 2), 0), (1, Fraction(1, 3), 2, -1), P))
+@example(case((1, Fraction(1, 3), 0, -2), (Fraction(2, 5), 1, 1, 0), P, s=-1))
+# the mode is decided over both quadruples: one float quadruple takes the exact one along
+@example(case((Fraction(1, 3), 1, 0, 2), (1.0, 0.5, 0.0, -1.0), H, point=(Fraction(1, 3), 0.5)))
+@example(case((True, False, True, 1), (0, True, 0, -2), E, point=(True, 2)))
+def test_relations_match_the_fraction_formulas(name, c):
+    func, ref, args = RELATION_CALLS[name]
+    assert relation_outcome(func, args(c)) == relation_outcome(ref, args(c))
+
+
+def test_an_operand_left_out_of_an_output_leaves_it_an_int():
+    # k of the sandwich does not read m1, m does not read k1
+    reflected = reflect_cycle(ONLY_M1_FRACTION["c1"], ONLY_M1_FRACTION["c2"], CTX_E)
+    assert type(reflected.k) is int and type(reflected.l) is Fraction
+    ctx = ONLY_K1_FRACTION["ctx"]
+    reflected = reflect_cycle(ONLY_K1_FRACTION["c1"], ONLY_K1_FRACTION["c2"], ctx)
+    assert type(reflected.m) is int and type(reflected.k) is Fraction

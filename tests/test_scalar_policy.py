@@ -1,4 +1,4 @@
-"""The one exact/float policy: the zero test and the constraint solver.
+"""The one exact/float policy: the zero test, the polynomial helpers and the constraint solver.
 
 ``cycle_from_constraints`` is checked against a test-local copy of the
 solver it replaced, which kept a separate candidate branch per solution
@@ -37,7 +37,7 @@ from cyclekit import (
     subgroup_element,
 )
 from cyclekit.cycle import normalized_key
-from cyclekit.numbers import REL_TOL, div, is_exact, vanishes
+from cyclekit.numbers import REL_TOL, clear_denominators, div, from_numerators, is_exact, vanishes
 
 EXAMPLES = settings(max_examples=300)
 SIGNS = st.sampled_from(list(SpaceSign))
@@ -411,3 +411,35 @@ def test_float_subgroup_parameters_give_float_entries(kind, param):
     g = subgroup_element(kind, param)
     assert isinstance(g, GroupElement)
     assert all(type(x) is float for x in g.entries())
+
+
+def test_exact_operands_clear_to_one_denominator_per_group():
+    groups = ((Fraction(1, 6), 2, True, Fraction(-3, 4)), (False, 5), (Fraction(7, 1),))
+    numerators, denominators = clear_denominators(*groups)
+    assert denominators == [12, 1, 1]
+    assert numerators == [[2, 24, 12, -9], [0, 5], [7]]
+    assert all(type(x) is int for group in numerators for x in group)
+    assert all(type(d) is int for d in denominators)
+
+
+def test_one_float_leaves_every_group_as_given_over_one():
+    groups = ((Fraction(1, 3), 2), (0.5, True))
+    numerators, denominators = clear_denominators(*groups)
+    assert numerators == groups and all(a is b for a, b in zip(numerators[0], groups[0]))
+    assert denominators == (1.0, 1.0) and all(type(d) is float for d in denominators)
+    # float mode hands every value back untouched, exact ones included
+    values = (0.1, Fraction(1, 3), 7)
+    assert from_numerators(values, 1.0, [(0.5,), (Fraction(1, 3),), (2,)]) == values
+    assert [type(v) for v in from_numerators(values, 1.0, [(), (), ()])] == [float, Fraction, int]
+
+
+def test_an_output_is_a_fraction_only_when_an_operand_it_reads_is_one():
+    # a = (1/2, 3) and b = (4,): a0*b0 reads a Fraction, a1*b0 does not
+    a, b = (Fraction(1, 2), 3), (4,)
+    ((a0, a1), (b0,)), (da, db) = clear_denominators(a, b)
+    outputs = from_numerators([a0 * b0, a1 * b0], da * db, [(a[0], b[0]), (a[1], b[0])])
+    assert outputs == (2, 12)
+    assert [type(v) for v in outputs] == [Fraction, int]
+    # integer operands over a denominator of 1 stay int, never Fraction(n, 1)
+    assert [type(v) for v in from_numerators([4], 1, [(4, True)])] == [int]
+    assert [type(v) for v in from_numerators([4], 1, [(Fraction(4, 1),)])] == [Fraction]
