@@ -9,7 +9,8 @@ conformal print single-line strict JSON.  A result with no text form (a
 non-finite JSON value, or an exact integer beyond Python's 4,300-digit
 limit) exits 2 before anything is printed or written.
 Every scalar argument is read by ``numbers.parse_scalar`` and every sign
-by ``SpaceSign.parse``; either's ``ValueError`` is a usage error.
+by ``SpaceSign.parse``; either's ``ValueError`` is a usage error.  Options
+are spelled out in full: a prefix of one is an unrecognised argument.
 """
 
 from __future__ import annotations
@@ -28,6 +29,9 @@ from .numbers import parse_scalars, scalar_repr, scalar_to_json
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):  # no prefix abbreviates an option: --s is not --sigma-cycle
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):  # route argparse failures to exit code 1
         raise UsageError(message)
 
@@ -114,8 +118,7 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("transform", help="apply a Moebius map to a JSON document")
     p.add_argument("--g", required=True, help="group element a,b,c,d")
-    p.add_argument("--sigma-cycle", type=sign, default="e")
-    p.add_argument("--s", type=int, default=1, choices=(1, -1))
+    p.add_argument("--sigma-cycle", type=sign, default="e", help="parsed; the action reads none")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", dest="outfile", required=True)
     _add_mode_flags(p, default_exact=False)
@@ -123,7 +126,6 @@ def build_parser() -> _Parser:
     p = subs.add_parser("check", help="orthogonality predicates, exit 0 true / 1 false")
     p.add_argument("relation", choices=("ortho", "sortho"))
     p.add_argument("--sigma-cycle", type=sign, required=True)
-    p.add_argument("--s", type=int, default=1, choices=(1, -1))
     p.add_argument("cycle1")
     p.add_argument("cycle2")
     _add_mode_flags(p, default_exact=True)
@@ -140,7 +142,6 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("invert", help="inverse of a point in a cycle")
     p.add_argument("--sigma-cycle", type=sign, required=True)
-    p.add_argument("--s", type=int, default=1, choices=(1, -1))
     p.add_argument("cycle")
     p.add_argument("point")
     _add_mode_flags(p, default_exact=True)
@@ -238,7 +239,7 @@ def _dispatch(args) -> int:
         from .svgout import CycleSetDocument, document_to_json, parse_document, write_text
 
         g = _parse(GroupElement, args.g, exact, "group element", "a,b,c,d")
-        ctx = FSCcContext(args.sigma_cycle, args.s)
+        ctx = FSCcContext(args.sigma_cycle)
         with open(args.infile, "r", encoding="utf-8") as handle:
             doc = parse_document(handle.read(), exact)
         cycles = [(similarity_transform(c, g, ctx), style) for c, style in doc.cycles]
@@ -255,7 +256,7 @@ def _dispatch(args) -> int:
         from .cycle import FSCcContext
         from .relations import is_orthogonal, is_s_orthogonal
 
-        ctx = FSCcContext(args.sigma_cycle, args.s)
+        ctx = FSCcContext(args.sigma_cycle)
         c1 = _quadruple(args.cycle1, exact)
         c2 = _quadruple(args.cycle2, exact)
         if args.relation == "ortho":
@@ -277,7 +278,7 @@ def _dispatch(args) -> int:
         from .cycle import FSCcContext
         from .relations import invert_point
 
-        ctx = FSCcContext(args.sigma_cycle, args.s)
+        ctx = FSCcContext(args.sigma_cycle)
         cycle = _quadruple(args.cycle, exact)
         point = _point(args.point, exact)
         print(_text(_point_text, invert_point(cycle, point, ctx)))

@@ -64,7 +64,7 @@ REAL_LINE = CycleQuadruple(0, 0, 1, 0)
 
 
 class FSCcContext(Value):
-    """Cycle-space sign and the +-1 parameter scaling the imaginary part."""
+    """Cycle-space sign and the +-1 parameter s, read by to_fscc, from_fscc and trace_part."""
 
     __slots__ = ("sigma_cycle", "s")
 
@@ -129,8 +129,8 @@ def similarity_transform(
     """Image of the cycle under the Moebius map of g: the quadruple of g M g^{-1}.
 
     The imaginary part i*s*n of M commutes with g, so n is fixed and
-    (k, l, m) moves by conjugation with the real matrix g; the result is
-    projectively independent of the context.
+    (k, l, m) moves by conjugation with the real matrix g.  Reading n
+    back divides s out, so the result does not read ``ctx`` at all.
     """
     a, b, c, d = g.entries()
     k, l, n, m = cycle.components()
@@ -139,7 +139,7 @@ def similarity_transform(
     return CycleQuadruple(
         zero + d * d * k + 2 * c * d * l + c * c * m,
         zero + (a * d + b * c) * l + b * d * k + a * c * m,
-        div(ctx.s * n, ctx.s),
+        div(n, 1),
         zero + b * b * k + 2 * a * b * l + a * a * m,
     )
 
@@ -168,9 +168,9 @@ def centre(cycle: CycleQuadruple, kind: SpaceSign) -> PointOrInfinity:
 
 
 def det_invariant(cycle: CycleQuadruple, ctx: FSCcContext) -> Scalar:
-    """Determinant of the cycle matrix: sigma_cycle*s^2*n^2 - l^2 + m*k."""
+    """Determinant of the cycle matrix: sigma_cycle*n^2 - l^2 + m*k, as (i*s)^2 = sigma_cycle."""
     k, l, n, m = cycle.components()
-    return int(ctx.sigma_cycle) * ctx.s * ctx.s * n * n - l * l + m * k
+    return int(ctx.sigma_cycle) * n * n - l * l + m * k
 
 
 def trace_part(cycle: CycleQuadruple, ctx: FSCcContext) -> Scalar:
@@ -186,7 +186,7 @@ def radius_sq(cycle: CycleQuadruple, ctx: FSCcContext) -> Scalar:
 
 
 def focus(cycle: CycleQuadruple, sigma_cycle: SpaceSign) -> Point:
-    """(l/k, det/(2nk)) with the determinant taken at s = +1.
+    """(l/k, det/(2nk)), det the determinant of the sigma_cycle matrix.
 
     The sign in front of det is fixed by the parabola anchors: drawn
     parabolically, the parabolic focus is the vertex, the hyperbolic
@@ -359,9 +359,7 @@ def _linear_rows(constraint: Constraint) -> list[tuple[list[Scalar], Scalar]]:
         return [([-u, 1, 0, 0], 0)]
     if isinstance(constraint, IsOrthogonalTo):
         k2, l2, n2, m2 = constraint.cycle.components()
-        sig = int(constraint.ctx.sigma_cycle)
-        s2 = constraint.ctx.s * constraint.ctx.s
-        return [([-m2, 2 * l2, -2 * sig * s2 * n2, -k2], 0)]
+        return [([-m2, 2 * l2, -2 * int(constraint.ctx.sigma_cycle) * n2, -k2], 0)]
     if isinstance(constraint, Normalised):
         return [([1, 0, 0, 0], 1)]
     raise TypeError(f"unknown constraint {constraint!r}")

@@ -5,10 +5,9 @@ with traversal curves, one quadruple drawn in all three plane styles
 with its centres and foci, the 3x3 grid of zero-radius realisations,
 orthogonality and s-orthogonality pencils with their ghost cycles, and
 the distance/length constructions.  Colours and dashes are house style.
-The geometry of the orbit, EPH, zero-radius and orthogonality panels is
-computed by the library; panels b and c of fig-distances place their
-pencil members, extremal circle, foot of the perpendicular and touching
-circle by hand, from the elliptic formulas.
+The geometry is computed by the library, except for the grey members
+of fig-distances: the four pencil members of panel b and the two rings
+of panel c are placed by hand, from the elliptic formulas.
 """
 
 from __future__ import annotations
@@ -20,8 +19,13 @@ from functools import cache, partial
 from .cycle import (
     CycleQuadruple,
     FSCcContext,
+    HasKindCentre,
+    Normalised,
+    PassesThrough,
     centre,
+    cycle_from_constraints,
     focus,
+    roots,
     similarity_transform,
     zero_radius_cycle,
 )
@@ -29,7 +33,7 @@ from .errors import CycleKitError, FocusUndefined, UsageError
 from .hypercomplex import SpaceSign
 from .moebius import INFINITY, Point, orbit_uv, subgroup_element
 from .numbers import fmt12, parse_scalars
-from .relations import common_inverse_point, ghost_cycle, orthogonal_family, s_ghost
+from .relations import common_inverse_point, ghost_cycle, invert_point, orthogonal_family, s_ghost
 from .svgout import CANVAS_PX, CycleSetDocument, CycleStyle, polyline, render_svg, write_text
 from .value import Value
 
@@ -255,6 +259,13 @@ def _fig_ortho(params: dict[str, str], s_orthogonal: bool):
     return panels
 
 
+def _circle(at, on) -> CycleQuadruple:
+    """The one elliptic circle with its centre at ``at`` that passes through ``on``."""
+    e = SpaceSign.ELLIPTIC
+    (circle,) = cycle_from_constraints([HasKindCentre(at, e), PassesThrough(on, e), Normalised()])
+    return circle
+
+
 def _fig_distances(params: dict[str, str]):
     panels = []
     # (a) parabolic diameter vs real/adjoint roots
@@ -270,11 +281,11 @@ def _fig_distances(params: dict[str, str]):
         [],
         viewport,
     )
-    root = math.sqrt(3.0)
+    left, right = roots(with_roots)
     extras = [
-        _extra_dot((-root, 0.0), BLUE, viewport),
-        _extra_dot((root, 0.0), BLUE, viewport),
-        f'<line x1="{fmt12(-root)}" y1="0" x2="{fmt12(root)}" y2="0" '
+        _extra_dot((left, 0.0), BLUE, viewport),
+        _extra_dot((right, 0.0), BLUE, viewport),
+        f'<line x1="{fmt12(left)}" y1="0" x2="{fmt12(right)}" y2="0" '
         f'stroke="{ORANGE}" stroke-width="{fmt12(2.5 * 6.0 / CANVAS_PX)}"/>',
     ]
     comments = ["parabolic diameter equals the gap between real roots"]
@@ -293,10 +304,7 @@ def _fig_distances(params: dict[str, str]):
         r_sq = (a_pt[0] - c[0]) ** 2 + (a_pt[1] - c[1]) ** 2
         member = CycleQuadruple(1.0, c[0], c[1], c[0] ** 2 + c[1] ** 2 - r_sq)
         cycles.append((member, CycleStyle(stroke=GREY)))
-    extremal = CycleQuadruple(
-        1.0, mid[0], mid[1], mid[0] ** 2 + mid[1] ** 2 - (chord_len / 2.0) ** 2
-    )
-    cycles.append((extremal, CycleStyle(stroke=RED)))
+    cycles.append((_circle(mid, a_pt), CycleStyle(stroke=RED)))
     doc = CycleSetDocument(SpaceSign.ELLIPTIC, cycles, [a_pt, b_pt], viewport)
     comments = ["the minimal diameter over the pencil through both points"]
     panels.append(("b", render_svg(doc, comments)))
@@ -305,22 +313,14 @@ def _fig_distances(params: dict[str, str]):
     viewport = (-3.0, 3.0, -2.0, 4.0)
     apex = (0.0, 2.5)
     line_quad = CycleQuadruple(0.0, -0.5, 1.0, -1.0)  # v = u/2 - 1/2
-    base = (0.0, -0.5)
-    direction = (1.0, 0.5)
-    norm_sq = direction[0] ** 2 + direction[1] ** 2
-    t_foot = (
-        (apex[0] - base[0]) * direction[0] + (apex[1] - base[1]) * direction[1]
-    ) / norm_sq
-    foot = (base[0] + t_foot * direction[0], base[1] + t_foot * direction[1])
+    mirrored = invert_point(line_quad, apex, FSCcContext(SpaceSign.ELLIPTIC, 1))
+    foot = ((apex[0] + mirrored.u) / 2.0, (apex[1] + mirrored.v) / 2.0)
     reach = math.hypot(apex[0] - foot[0], apex[1] - foot[1])
     cycles = [(line_quad, CycleStyle(stroke=BLUE))]
     for r in (0.4 * reach, 0.7 * reach):
         ring = CycleQuadruple(1.0, apex[0], apex[1], apex[0] ** 2 + apex[1] ** 2 - r * r)
         cycles.append((ring, CycleStyle(stroke=GREY, dash=True)))
-    touching = CycleQuadruple(
-        1.0, apex[0], apex[1], apex[0] ** 2 + apex[1] ** 2 - reach * reach
-    )
-    cycles.append((touching, CycleStyle(stroke=RED)))
+    cycles.append((_circle(apex, foot), CycleStyle(stroke=RED)))
     extras = [
         f'<line x1="{fmt12(apex[0])}" y1="{fmt12(apex[1])}" x2="{fmt12(foot[0])}" '
         f'y2="{fmt12(foot[1])}" stroke="{ORANGE}" '

@@ -128,11 +128,12 @@ def orbit_uv(elements, z: Point, sigma: SpaceSign) -> list[tuple[Scalar, Scalar]
     The one expansion of the action: (az+b) * conj(cz+d) / modsq(cz+d)
     over the scalars, with no Point built per image.  None stands where
     the modulus vanishes and ``mobius_apply`` gives INFINITY.  The
-    quotients are ``div``'s: a float modulus divides with ``/``, which is
-    what ``div`` computes then, and exact input gives Fractions.
+    quotients are ``div``'s: a float point makes every modulus a float,
+    which ``div`` divides with ``/``, and exact input gives Fractions.
     """
     u, v = z.u, z.v
     sig = int(sigma)
+    exact = is_exact(u, v)
     images = []
     for g in elements:
         a, b, c, d = g.a, g.b, g.c, g.d
@@ -142,10 +143,8 @@ def orbit_uv(elements, z: Point, sigma: SpaceSign) -> list[tuple[Scalar, Scalar]
             images.append(None)
             continue
         re = (a * u + b) * den_re - sig * a * c * v * v
-        if type(mod) is float:  # div's float branch, without the call
-            images.append((re / mod, v * (a * d - b * c) / mod))
-        else:
-            images.append((div(re, mod), div(v * (a * d - b * c), mod)))
+        im = v * (a * d - b * c)
+        images.append((div(re, mod), div(im, mod)) if exact else (re / mod, im / mod))
     return images
 
 

@@ -9,8 +9,8 @@ exact/float policy lives here alone: ``vanishes`` is the one zero test
 ``scalar_sqrt``/``sqrt_or_float`` are the two square-root rules, and
 ``parse_scalar`` is the one rule for scalars read from text (the CLI, the
 figure parameters and the JSON document reader).  ``clear_denominators``
-and ``from_numerators`` are the one place where a polynomial's exact or
-float evaluation is decided: the caller writes the polynomial once, over
+and ``from_numerators`` decide the mode of the polynomials of
+``relations.pairing`` and ``relations._sandwich``, written once, over
 the integer numerators of exact operands (one common denominator per
 group, one ``Fraction`` per output) or over the float operands as given.
 """

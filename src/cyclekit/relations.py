@@ -42,18 +42,17 @@ def heaviside(t: Scalar) -> int:
 def pairing(c1: CycleQuadruple, c2: CycleQuadruple, ctx: FSCcContext) -> Scalar:
     """Real part of trace(M1 * conj(M2)); symmetric and bilinear.
 
-    Expanded: 2*l1*l2 - 2*sigma_cycle*s^2*n1*n2 - m1*k2 - k1*m2.  The
-    self-pairing equals -2 det.  Exact quadruples are paired over their
-    integer numerators (``numbers.clear_denominators``) and the sum is
-    divided once by d1 d2; a float in either quadruple evaluates the same
-    expression on the given values.
+    Expanded: 2*l1*l2 - 2*sigma_cycle*n1*n2 - m1*k2 - k1*m2, where s*s = 1.
+    The self-pairing equals -2 det.  Exact quadruples are paired over
+    their integer numerators (``numbers.clear_denominators``) and the sum
+    is divided once by d1 d2; a float in either quadruple evaluates the
+    same expression on the given values.
     """
     sig = int(ctx.sigma_cycle)
-    s2 = ctx.s * ctx.s
     ops1, ops2 = c1.components(), c2.components()
     ((k1, l1, n1, m1), (k2, l2, n2, m2)), (d1, d2) = clear_denominators(ops1, ops2)
     (value,) = from_numerators(
-        [2 * l1 * l2 - 2 * sig * s2 * n1 * n2 - m1 * k2 - k1 * m2], d1 * d2, [ops1 + ops2]
+        [2 * l1 * l2 - 2 * sig * n1 * n2 - m1 * k2 - k1 * m2], d1 * d2, [ops1 + ops2]
     )
     return value
 
@@ -78,33 +77,31 @@ def ghost_cycle(
     return CycleQuadruple(cycle.k, cycle.l, twist * cycle.n, cycle.m)
 
 
-def _sandwich(
-    mirror: CycleQuadruple, cycle: CycleQuadruple, sigma_cycle: SpaceSign, s: int
-) -> tuple[Scalar, Scalar, Scalar, Scalar]:
+def _sandwich(mirror: CycleQuadruple, cycle: CycleQuadruple, sigma_cycle: SpaceSign):
     """(k, l, x, m) of M_mirror * M_cycle * M_mirror, whose imaginary part is i*s*x.
 
     With M = R + i*s*n and R traceless real, R1 R2 R1 = tr(R1 R2) R1 -
-    (l1^2 - m1 k1) R2.  The m1 terms cancel from k and the k1 terms from
-    m; leaving them out keeps the result types of the matrix product.
-    Exact quadruples enter as integer numerators over one denominator
-    each (``numbers.clear_denominators``).  Every output has degree 2 in
-    the mirror and 1 in the cycle, so each is divided once by d1^2 d2 and
-    keeps the type its expression over the components had.  A float in
-    either quadruple evaluates the same expressions on the given values.
+    (l1^2 - m1 k1) R2; s enters x only as s*s = 1.  The m1 terms cancel
+    from k and the k1 terms from m; leaving them out keeps the result
+    types of the matrix product.  The result is the arguments of
+    ``numbers.from_numerators``: the four values over the numerators of
+    ``numbers.clear_denominators`` (or over the floats as given), their
+    common denominator d1^2 d2 (degree 2 in the mirror, 1 in the cycle)
+    and the operands each value reads.
     """
     outer, inner = mirror.components(), cycle.components()
     ((k1, l1, n1, m1), (k2, l2, n2, m2)), (d1, d2) = clear_denominators(outer, inner)
-    sig_s2 = int(sigma_cycle) * s * s
+    sig = int(sigma_cycle)
     trace = 2 * l1 * l2 - m1 * k2 - k1 * m2
     square = l1 * l1 - m1 * k1
-    shared = 2 * l1 * l2 + 2 * sig_s2 * n1 * n2
-    rest = sig_s2 * n1 * n1 - l1 * l1
+    shared = 2 * l1 * l2 + 2 * sig * n1 * n2
+    rest = sig * n1 * n1 - l1 * l1
     both = outer + inner
-    return from_numerators(
+    return (
         (
             k1 * (shared - k1 * m2) + k2 * rest,
-            (trace + 2 * sig_s2 * n1 * n2) * l1 + (sig_s2 * n1 * n1 - square) * l2,
-            n1 * trace + n2 * square + sig_s2 * n1 * n1 * n2,
+            (trace + 2 * sig * n1 * n2) * l1 + (sig * n1 * n1 - square) * l2,
+            n1 * trace + n2 * square + sig * n1 * n1 * n2,
             m1 * (shared - m1 * k2) + m2 * rest,
         ),
         d1 * d1 * d2,
@@ -130,10 +127,10 @@ def reflect_cycle(
     inner = cycle
     if conjugate_argument:
         inner = CycleQuadruple(cycle.k, cycle.l, -cycle.n, cycle.m)
-    k, l, x, m = _sandwich(mirror, inner, ctx.sigma_cycle, ctx.s)
+    k, l, x, m = from_numerators(*_sandwich(mirror, inner, ctx.sigma_cycle))
     if k == 0 and l == 0 and m == 0 and x == 0:
         raise DegenerateReflection("reflection collapsed to the zero quadruple")
-    return CycleQuadruple(k, l, div(ctx.s * x, ctx.s), m)
+    return CycleQuadruple(k, l, div(x, 1), m)
 
 
 def invert_point(
@@ -175,9 +172,10 @@ def is_s_orthogonal(
     """trace(C * C~ * C * R) = 0, all hypercomplex components.
 
     R = i*s is the real line, so the trace is the real number
-    2*sigma_cycle*s^2*x, with i*s*x the imaginary part of C * C~ * C.
-    The relation is not symmetric.  In the parabolic cycle space the
-    trace vanishes identically; the verdict is True with a diagnostic
+    2*sigma_cycle*x (s*s = 1), with i*s*x the imaginary part of
+    C * C~ * C; an exact x is tested as its numerator, no ``Fraction``
+    built.  The relation is not symmetric.  In the parabolic cycle space
+    the trace vanishes identically; the verdict is True with a diagnostic
     warning.
     """
     if ctx.sigma_cycle == SpaceSign.PARABOLIC:
@@ -187,8 +185,8 @@ def is_s_orthogonal(
             stacklevel=2,
         )
         return True
-    imag = _sandwich(cycle, other, ctx.sigma_cycle, ctx.s)[2]
-    trace = 2 * int(ctx.sigma_cycle) * ctx.s * ctx.s * imag
+    imag = _sandwich(cycle, other, ctx.sigma_cycle)[0][2]
+    trace = 2 * int(ctx.sigma_cycle) * imag
     comps = cycle.components()
     return vanishes(trace, comps, comps, other.components())
 
@@ -206,11 +204,10 @@ def s_ghost(
         raise DegenerateReflection(
             "s-ghost collapses to the real line in the parabolic cycle space"
         )
-    s = heaviside(int(sigma))
-    k, l, x, m = _sandwich(cycle, REAL_LINE, sigma_cycle, s)
+    k, l, x, m = from_numerators(*_sandwich(cycle, REAL_LINE, sigma_cycle))
     if k == 0 and l == 0 and m == 0 and x == 0:
         raise DegenerateReflection("s-ghost collapsed to the zero quadruple")
-    return CycleQuadruple(k, l, div(s * x, 1), m)
+    return CycleQuadruple(k, l, div(heaviside(int(sigma)) * x, 1), m)
 
 
 def orthogonal_family(

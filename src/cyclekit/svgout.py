@@ -247,8 +247,8 @@ def _cycle_elements(
     m = float(quad.m)
     attrs = _stroke_attrs(style, stroke_w)
     elements: list[str] = []
-    zero_radius = k != 0 and float(radius_sq(quad, FSCcContext(sigma, 1))) == 0.0
-    if zero_radius:
+    r_sq = float(radius_sq(quad, FSCcContext(sigma, 1))) if k != 0 else None
+    if r_sq == 0.0:
         spot = centre(quad, sigma)
         elements.append(
             f'<circle cx="{fmt12(float(spot.u))}" cy="{fmt12(float(spot.v))}" '
@@ -260,7 +260,6 @@ def _cycle_elements(
         elements.extend(_line_elements(l, n, m, doc, attrs))
         return elements
     if sigma == SpaceSign.ELLIPTIC:
-        r_sq = float(radius_sq(quad, FSCcContext(SpaceSign.ELLIPTIC, 1)))
         if r_sq < 0:
             elements.append("<!-- empty elliptic locus -->")
             return elements

@@ -44,6 +44,29 @@ def test_bad_argv_is_a_usage_error(capsys, argv):
     assert err.startswith("usage error: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "ortho", "--sigma-cycle", "e", "--s", "-1", "1,0,1,0", "1,0,-1,-2"],
+        ["check", "ortho", "--s", "-1", "1,0,1,0", "1,0,-1,-2"],
+        ["invert", "--sigma-cycle", "e", "--s", "-1", "1,0,0,-1", "0,2"],
+        ["invert", "--s", "-1", "1,0,0,-1", "0,2"],
+        ["transform", "--g", "1,1,0,1", "--s", "-1", "--in", "DOC", "--out", "OUT"],
+    ],
+)
+def test_no_s_option_and_no_abbreviated_option(capsys, tmp_path, argv):
+    """No command reads the FSCc parameter s, and --s is no prefix of --sigma-cycle."""
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(GOOD_DOC), encoding="utf-8")
+    out = tmp_path / "out.json"
+    argv = [str(doc) if a == "DOC" else str(out) if a == "OUT" else a for a in argv]
+    assert cli_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_singular_group_element_is_a_usage_error(capsys, tmp_path):
     doc = tmp_path / "doc.json"
     doc.write_text(json.dumps(GOOD_DOC), encoding="utf-8")

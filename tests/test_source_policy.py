@@ -9,8 +9,9 @@
   ``type=float`` to ``add_argument``: text becomes a scalar only through
   ``parse_scalar``, which rejects what is not finite.
 * Outside ``numbers.py`` no module calls ``isinstance(x, float)`` with
-  bare ``float``: the scalar mode is read through ``numbers.is_exact``
-  and its siblings.
+  bare ``float`` or compares ``type(x)`` with ``float`` (``is``, ``is
+  not``, ``==``, ``!=``): the scalar mode is read through
+  ``numbers.is_exact`` and its siblings.
 * Only ``cycle.py`` names ``gauss_solve`` or ``_gauss_solve``, and calls
   it once, from ``pencil``: every linear system goes through
   ``cycle.pencil``.
@@ -88,6 +89,34 @@ def test_scalars_from_text_only_through_parse_scalar(path):
     assert uses == []
 
 
+def is_float_name(node):
+    return isinstance(node, ast.Name) and node.id == "float"
+
+
+def is_type_call(node):
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "type"
+        and len(node.args) == 1
+    )
+
+
+def compares_type_with_float(node):
+    """``type(x) is float`` and its ``is not`` / ``==`` / ``!=`` siblings, either way round."""
+    if not isinstance(node, ast.Compare):
+        return False
+    operands = [node.left, *node.comparators]
+    return any(
+        isinstance(op, (ast.Is, ast.IsNot, ast.Eq, ast.NotEq))
+        and (
+            (is_type_call(left) and is_float_name(right))
+            or (is_float_name(left) and is_type_call(right))
+        )
+        for op, left, right in zip(node.ops, operands, operands[1:])
+    )
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_scalar_mode_is_read_only_in_numbers(path):
     if path.name == "numbers.py":
@@ -95,14 +124,24 @@ def test_scalar_mode_is_read_only_in_numbers(path):
     uses = [
         f"line {node.lineno}"
         for node in ast.walk(tree(path))
-        if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id == "isinstance"
-        and len(node.args) == 2
-        and isinstance(node.args[1], ast.Name)
-        and node.args[1].id == "float"
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance"
+            and len(node.args) == 2
+            and is_float_name(node.args[1])
+        )
+        or compares_type_with_float(node)
     ]
     assert uses == []
+
+
+@pytest.mark.parametrize(
+    "code",
+    ["type(x) is float", "type(x) is not float", "float == type(x)", "0 < type(x) != float"],
+)
+def test_type_comparison_with_float_is_caught(code):
+    assert compares_type_with_float(ast.parse(code, mode="eval").body)
 
 
 def named(node, names):
