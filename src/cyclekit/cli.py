@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 # Only what the parser and the error handling need; each command imports the
 # rest of the library itself, so a request loads no layer it does not use.
@@ -40,6 +41,8 @@ def _resolve_mode(args) -> bool:
     if getattr(args, "exact", False) or getattr(args, "float_mode", False):
         return args.exact
     env = os.environ.get("CYCLEKIT_MODE", "").strip().lower()
+    if env not in ("", "exact", "float"):
+        raise UsageError(f"CYCLEKIT_MODE must be exact or float, not {env!r}")
     return {"exact": True, "float": False}.get(env, getattr(args, "default_exact", False))
 
 
@@ -202,21 +205,23 @@ def build_parser() -> _Parser:
 
 def cli_main(argv=None) -> int:
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-        return _dispatch(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except CycleKitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DocumentError as exc:
-        print(f"document error: {exc}", file=sys.stderr)
-        return 3
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 3
+    with warnings.catch_warnings():  # restores the caller's warning display on return
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            args = parser.parse_args(argv)
+            return _dispatch(args)
+        except UsageError as exc:
+            print(f"usage error: {exc}", file=sys.stderr)
+            return 1
+        except CycleKitError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except DocumentError as exc:
+            print(f"document error: {exc}", file=sys.stderr)
+            return 3
+        except (OSError, json.JSONDecodeError, KeyError) as exc:
+            print(f"i/o error: {exc}", file=sys.stderr)
+            return 3
 
 
 def _dispatch(args) -> int:

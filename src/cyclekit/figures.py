@@ -4,10 +4,8 @@ The constructions mirror the library's showcase scenes: rotation orbits
 with traversal curves, one quadruple drawn in all three plane styles
 with its centres and foci, the 3x3 grid of zero-radius realisations,
 orthogonality and s-orthogonality pencils with their ghost cycles, and
-the distance/length constructions.  Colours and dashes are house style.
-The geometry is computed by the library, except for the grey members
-of fig-distances: the four pencil members of panel b and the two rings
-of panel c are placed by hand, from the elliptic formulas.
+the distance/length constructions.  Colours and dashes are house style;
+the geometry is computed by the library.
 """
 
 from __future__ import annotations
@@ -19,11 +17,7 @@ from functools import cache, partial
 from .cycle import (
     CycleQuadruple,
     FSCcContext,
-    HasKindCentre,
-    Normalised,
-    PassesThrough,
     centre,
-    cycle_from_constraints,
     focus,
     roots,
     similarity_transform,
@@ -260,10 +254,13 @@ def _fig_ortho(params: dict[str, str], s_orthogonal: bool):
 
 
 def _circle(at, on) -> CycleQuadruple:
-    """The one elliptic circle with its centre at ``at`` that passes through ``on``."""
+    """The zero-radius elliptic cycle at ``at``, its m lowered by the squared radius to ``on``."""
+    from .metric import DirectedInterval, FromCentre, length  # only fig-distances loads metric
+
     e = SpaceSign.ELLIPTIC
-    (circle,) = cycle_from_constraints([HasKindCentre(at, e), PassesThrough(on, e), Normalised()])
-    return circle
+    (radius_sq,) = length(DirectedInterval(at, on), FromCentre(e, e))
+    k, l, n, m = zero_radius_cycle(at, FSCcContext(e)).components()
+    return CycleQuadruple(k, l, n, m - radius_sq)
 
 
 def _fig_distances(params: dict[str, str]):
@@ -301,9 +298,7 @@ def _fig_distances(params: dict[str, str]):
     normal = (-chord[1] / chord_len, chord[0] / chord_len)
     for offset in (-1.5, -0.75, 0.75, 1.5):
         c = (mid[0] + offset * normal[0], mid[1] + offset * normal[1])
-        r_sq = (a_pt[0] - c[0]) ** 2 + (a_pt[1] - c[1]) ** 2
-        member = CycleQuadruple(1.0, c[0], c[1], c[0] ** 2 + c[1] ** 2 - r_sq)
-        cycles.append((member, CycleStyle(stroke=GREY)))
+        cycles.append((_circle(c, a_pt), CycleStyle(stroke=GREY)))
     cycles.append((_circle(mid, a_pt), CycleStyle(stroke=RED)))
     doc = CycleSetDocument(SpaceSign.ELLIPTIC, cycles, [a_pt, b_pt], viewport)
     comments = ["the minimal diameter over the pencil through both points"]
@@ -315,11 +310,10 @@ def _fig_distances(params: dict[str, str]):
     line_quad = CycleQuadruple(0.0, -0.5, 1.0, -1.0)  # v = u/2 - 1/2
     mirrored = invert_point(line_quad, apex, FSCcContext(SpaceSign.ELLIPTIC, 1))
     foot = ((apex[0] + mirrored.u) / 2.0, (apex[1] + mirrored.v) / 2.0)
-    reach = math.hypot(apex[0] - foot[0], apex[1] - foot[1])
     cycles = [(line_quad, CycleStyle(stroke=BLUE))]
-    for r in (0.4 * reach, 0.7 * reach):
-        ring = CycleQuadruple(1.0, apex[0], apex[1], apex[0] ** 2 + apex[1] ** 2 - r * r)
-        cycles.append((ring, CycleStyle(stroke=GREY, dash=True)))
+    for f in (0.4, 0.7):
+        on = (apex[0] + f * (foot[0] - apex[0]), apex[1] + f * (foot[1] - apex[1]))
+        cycles.append((_circle(apex, on), CycleStyle(stroke=GREY, dash=True)))
     cycles.append((_circle(apex, foot), CycleStyle(stroke=RED)))
     extras = [
         f'<line x1="{fmt12(apex[0])}" y1="{fmt12(apex[1])}" x2="{fmt12(foot[0])}" '

@@ -20,6 +20,7 @@ from .errors import (
     DegenerateFocalPoint,
     ExperimentalRegimeWarning,
     Inconsistent,
+    UnderDetermined,
 )
 from .hypercomplex import SpaceSign
 from .numbers import REL_TOL, Scalar, div, vanishes
@@ -30,8 +31,9 @@ from .value import Value
 def _layer(name: str):
     """The sibling module ``name``, imported when a function first needs it.
 
-    So a caller of ``distance_sq`` alone loads neither the solver
-    (``cycle``) nor the group action (``moebius``).  The cache spares
+    Only ``FromFocus`` lengths and the variational oracle reach the solver
+    (``cycle``), and only conformality reaches the group action
+    (``moebius``).  The cache spares
     ``length``, which runs many times in one conformality or
     perpendicularity query, an import statement (about 2 us) per call.
     """
@@ -153,36 +155,38 @@ def variational_distance_oracle(
 def length(interval: DirectedInterval, kind: LengthKind) -> list[Scalar]:
     """Squared lengths of the interval, all real branches ascending.
 
-    Distance has one value; from-centre solves for the unique cycle with
-    the prescribed centre through the endpoint; from-focus may have two
-    branches, and degenerates to zero-radius cycles when the start lies
-    on the real axis.
+    Distance has one value.  From-centre is Du^2 - sigma_cycle Dv^2 +
+    (sigma_cycle - sigma) B_v^2 with D = B - A, and raises the solver's
+    errors for sigma_cycle = p.  From-focus, the only kind that reaches the
+    solver (``cycle``), may have two branches, and degenerates to
+    zero-radius cycles when the start lies on the real axis.
     """
     if isinstance(kind, Distance):
         return [distance_sq(interval.a, interval.b, kind.sigma)]
-    cycle = _layer("cycle")
     if isinstance(kind, FromCentre):
-        cycles = cycle.cycle_from_constraints(
-            [
-                cycle.HasKindCentre(interval.a, kind.sigma_cycle),
-                cycle.PassesThrough(interval.b, kind.sigma),
-                cycle.Normalised(),
-            ]
-        )
-    elif isinstance(kind, FromFocus):
-        if interval.a[1] == 0:
-            raise DegenerateFocalPoint(
-                "every cycle with a real-axis focus through another point is zero-radius"
-            )
-        cycles = cycle.cycle_from_constraints(
-            [
-                cycle.HasFocus(interval.a, kind.sigma_cycle),
-                cycle.PassesThrough(interval.b, kind.sigma),
-                cycle.Normalised(),
-            ]
-        )
-    else:
+        (au, av), (bu, bv) = interval.a, interval.b
+        sigma_cycle = int(kind.sigma_cycle)
+        if sigma_cycle == 0:
+            if vanishes(av, (au, av, bu, bv)):
+                raise UnderDetermined("solution family has affine dimension 1")
+            raise Inconsistent("linear constraints admit no solution")
+        du, dv, sigma = bu - au, bv - av, int(kind.sigma)
+        # div(., 1) keeps the Fraction (or float) that the solver's radius_sq gave
+        return [div(du * du - sigma_cycle * dv * dv + (sigma_cycle - sigma) * bv * bv, 1)]
+    if not isinstance(kind, FromFocus):
         raise TypeError(f"unknown length kind {kind!r}")
+    if interval.a[1] == 0:
+        raise DegenerateFocalPoint(
+            "every cycle with a real-axis focus through another point is zero-radius"
+        )
+    cycle = _layer("cycle")
+    cycles = cycle.cycle_from_constraints(
+        [
+            cycle.HasFocus(interval.a, kind.sigma_cycle),
+            cycle.PassesThrough(interval.b, kind.sigma),
+            cycle.Normalised(),
+        ]
+    )
     ctx = cycle.FSCcContext(kind.sigma_cycle, 1)
     values = [cycle.radius_sq(c, ctx) for c in cycles]
     return sorted(values, key=float)

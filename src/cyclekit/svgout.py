@@ -73,7 +73,8 @@ def parse_document(text: str, exact: bool = False) -> CycleSetDocument:
     parses but breaks the schema (a missing key, a scalar ``parse_scalar``
     rejects, the zero quadruple, an empty viewport, an integer literal
     longer than ``int`` converts, a stroke colour holding a lone surrogate,
-    which the SVG could not be written with) raises ``DocumentError``.
+    which the SVG could not be written with, a ``dash`` that is not a JSON
+    boolean) raises ``DocumentError``.
     """
     try:
         raw = json.loads(text)
@@ -106,7 +107,10 @@ def parse_document(text: str, exact: bool = False) -> CycleSetDocument:
             stroke.encode("utf-8")
         except UnicodeEncodeError as exc:
             raise DocumentError(f"{where}: stroke colour has no UTF-8 encoding ({exc.reason})") from exc
-        cycles.append((quad, CycleStyle(stroke, bool(style_raw.get("dash", False)))))
+        dash = style_raw.get("dash", False)
+        if not isinstance(dash, bool):
+            raise DocumentError(f"{where}: style dash must be true or false, not {dash!r}")
+        cycles.append((quad, CycleStyle(stroke, dash)))
     points = []
     for index, entry in enumerate(_items(raw.get("points", []), "points")):
         where = f"point {index}"

@@ -167,3 +167,14 @@ def test_mode_env_var(capsys, monkeypatch):
     monkeypatch.setenv("CYCLEKIT_MODE", "float")
     assert cli_main(["orbit", "--base", "0,2", "--sigma", "e", "--params", "1", "--exact"]) == 0
     assert capsys.readouterr().out.strip() == "0,1/2"
+
+
+def test_library_warning_is_one_stderr_line(capsys):
+    argv = ["check", "sortho", "--sigma-cycle", "p", "1,0,1,0", "1,0,0,1"]
+    for _ in range(2):  # shown on every run, not once per process
+        assert cli_main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out == '{"relation": "sortho", "result": true}\n'
+        assert captured.err == (
+            "warning: s-orthogonality degenerates for the parabolic cycle space\n"
+        )

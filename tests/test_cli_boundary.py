@@ -371,3 +371,49 @@ def test_stroke_without_utf8_encoding_is_a_document_error(capsys, tmp_path, comm
     assert code == 3
     assert err.startswith("document error: cycle 0") and "stroke" in err
     assert out.read_text(encoding="utf-8") == "previous\n"
+
+
+@pytest.mark.parametrize("value", ["flaot", "EXACTLY", "1"])
+@pytest.mark.parametrize("command", ["length", "orbit"])
+def test_bad_mode_variable_is_a_usage_error(capsys, monkeypatch, value, command):
+    monkeypatch.setenv("CYCLEKIT_MODE", value)
+    argv = {
+        "length": ["length", "--kind", "centre", "--sigma", "e", "0,0", "1/3,1/2"],
+        "orbit": ["orbit", "--base", "0,2", "--sigma", "e", "--params", "1"],
+    }[command]
+    assert cli_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error: CYCLEKIT_MODE") and captured.err.count("\n") == 1
+    assert captured.out == ""
+    # a flag decides the mode, so the variable is not read
+    assert cli_main([*argv, "--exact"]) == 0
+
+
+@pytest.mark.parametrize("value", [" Float ", "exact", ""])
+def test_mode_variable_is_read_stripped_and_case_blind(capsys, monkeypatch, value):
+    monkeypatch.setenv("CYCLEKIT_MODE", value)
+    assert cli_main(["length", "--kind", "centre", "--sigma", "e", "0,0", "1/3,1/2"]) == 0
+    want = 13 / 36 if value.strip().lower() == "float" else "13/36"
+    assert json.loads(capsys.readouterr().out) == {"lengths_sq": [want]}
+
+
+@pytest.mark.parametrize("dash", ["false", 0, 1, None, [True]])
+def test_dash_that_is_not_a_json_boolean_is_a_document_error(capsys, tmp_path, dash):
+    cycle = {"k": 1, "l": 0, "n": 0, "m": -1, "style": {"stroke": "#222", "dash": dash}}
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(dict(GOOD_DOC, cycles=[cycle])), encoding="utf-8")
+    out = tmp_path / "out.svg"
+    code, err = run(capsys, ["draw", "--in", str(doc), "--out", str(out)])
+    assert code == 3
+    assert err.startswith("document error: cycle 0") and "dash" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dash, dashed", [(True, True), (False, False)])
+def test_boolean_dash_draws_as_it_says(tmp_path, dash, dashed):
+    cycle = {"k": 1, "l": 0, "n": 0, "m": -1, "style": {"stroke": "#222", "dash": dash}}
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(dict(GOOD_DOC, cycles=[cycle])), encoding="utf-8")
+    out = tmp_path / "out.svg"
+    assert cli_main(["draw", "--in", str(doc), "--out", str(out)]) == 0
+    assert ("stroke-dasharray" in out.read_text(encoding="utf-8")) is dashed

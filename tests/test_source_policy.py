@@ -19,7 +19,10 @@
   ``value.Value``, and ``import cyclekit.cli`` loads neither
   ``dataclasses``, ``inspect`` nor ``typing``.
 * ``import cyclekit`` loads no submodule, ``import cyclekit.cli`` only
-  what its parser needs, and a command only the layers it uses.
+  what its parser needs, and a command only the layers it uses: centre
+  lengths need neither the solver nor the group action, and only
+  fig-distances loads ``metric``.
+* ``figures.py`` names no constraint type and no solver entry point.
 """
 
 import ast
@@ -207,3 +210,23 @@ def test_cli_import_leaves_heavy_modules_unloaded():
     assert "metric" in distance
     assert distance.isdisjoint({"relations", "svgout", "figures"})
     assert distance.isdisjoint({"cycle", "moebius"})
+
+
+def test_centre_lengths_load_neither_the_solver_nor_the_group_action(tmp_path):
+    centre = ["--kind", "centre", "--sigma", "e"]
+    length = after_command(["length", *centre, "0,0", "1/3,1/2"])
+    perp = after_command(["perp", *centre, "--a", "0,0", "--b", "1,0", "--dir", "0,1"])
+    for modules in (length, perp):
+        assert "metric" in modules
+        assert modules.isdisjoint({"cycle", "moebius"})
+    figure = after_command(["figure", "fig-eph-cycle", "--out", str(tmp_path)])
+    assert "figures" in figure and "metric" not in figure
+
+
+def test_figures_name_no_constraint_solver():
+    names = {
+        "PassesThrough", "HasKindCentre", "HasFocus", "IsOrthogonalTo", "Normalised",
+        "cycle_from_constraints", "pencil",
+    }
+    path = Path(cyclekit.__file__).parent / "figures.py"
+    assert [f"line {node.lineno}" for node in ast.walk(tree(path)) if named(node, names)] == []
