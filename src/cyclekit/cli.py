@@ -239,15 +239,14 @@ def _dispatch(args) -> int:
         return 0
 
     if command == "transform":
-        from .cycle import FSCcContext, similarity_transform
+        from .cycle import similarity_transform
         from .moebius import INFINITY, GroupElement, Point, mobius_apply
         from .svgout import CycleSetDocument, document_to_json, parse_document, write_text
 
         g = _parse(GroupElement, args.g, exact, "group element", "a,b,c,d")
-        ctx = FSCcContext(args.sigma_cycle)
         with open(args.infile, "r", encoding="utf-8") as handle:
             doc = parse_document(handle.read(), exact)
-        cycles = [(similarity_transform(c, g, ctx), style) for c, style in doc.cycles]
+        cycles = [(similarity_transform(c, g), style) for c, style in doc.cycles]
         points = []
         for u, v in doc.points:
             image = mobius_apply(g, Point(u, v), doc.sigma)

@@ -28,7 +28,17 @@ from .errors import (
 )
 from .hypercomplex import HNumber, SpaceSign, h_real
 from .moebius import INFINITY, GroupElement, Point, PointOrInfinity
-from .numbers import REL_TOL, Scalar, div, is_exact, scalar_sqrt, sqrt_or_float, vanishes
+from .numbers import (
+    REL_TOL,
+    Scalar,
+    clear_denominators,
+    div,
+    from_numerators,
+    is_exact,
+    scalar_sqrt,
+    sqrt_or_float,
+    vanishes,
+)
 from .value import Value
 
 
@@ -124,24 +134,32 @@ def from_fscc(matrix: FSCcMatrix) -> CycleQuadruple:
 
 
 def similarity_transform(
-    cycle: CycleQuadruple, g: GroupElement, ctx: FSCcContext
+    cycle: CycleQuadruple, g: GroupElement, ctx: FSCcContext | None = None
 ) -> CycleQuadruple:
     """Image of the cycle under the Moebius map of g: the quadruple of g M g^{-1}.
 
     The imaginary part i*s*n of M commutes with g, so n is fixed and
     (k, l, m) moves by conjugation with the real matrix g.  Reading n
     back divides s out, so the result does not read ``ctx`` at all.
+    Exact operands are transformed over their integer numerators
+    (``numbers.clear_denominators``), and each of k, l, m is divided once
+    by dg^2 dc (``numbers.from_numerators``); a float anywhere evaluates
+    the same polynomials on the given values.
     """
-    a, b, c, d = g.entries()
-    k, l, n, m = cycle.components()
+    entries, comps = g.entries(), cycle.components()
+    ((a, b, c, d), (k, l, n, m)), (dg, dc) = clear_denominators(entries, comps)
     # n drops out of (k, l, m); adding 0 * n keeps the type the matrix product gave them
     zero = 0 * n
-    return CycleQuadruple(
-        zero + d * d * k + 2 * c * d * l + c * c * m,
-        zero + (a * d + b * c) * l + b * d * k + a * c * m,
-        div(n, 1),
-        zero + b * b * k + 2 * a * b * l + a * a * m,
+    k, l, m = from_numerators(
+        [
+            zero + d * d * k + 2 * c * d * l + c * c * m,
+            zero + (a * d + b * c) * l + b * d * k + a * c * m,
+            zero + b * b * k + 2 * a * b * l + a * a * m,
+        ],
+        dg * dg * dc,
+        [entries[2:] + comps, entries + comps, entries[:2] + comps],
     )
+    return CycleQuadruple(k, l, div(cycle.n, 1), m)
 
 
 def cycle_eval(cycle: CycleQuadruple, z: Point, sigma: SpaceSign) -> Scalar:

@@ -137,18 +137,16 @@ def _fig_k_orbits(params: dict[str, str]):
     viewport = (-3.0, 3.0, -3.0, 3.0)
     rotations = _rotation_grid()
     orbit_attrs = f'fill="none" stroke="{BLUE}" stroke-width="{fmt12(2.0 * 6.0 / CANVAS_PX)}"'
-    traversal_ts = [math.tan(phi / 2.0) for phi in (-1.2, -0.8, -0.4, 0.4, 0.8, 1.2)]
+    axis = CycleQuadruple(0.0, 1.0, 0.0, 0.0)
+    # the rotated axes are the same quadruples in every plane: the similarity action reads no sign
+    traversals = []
+    for phi in (-1.2, -0.8, -0.4, 0.4, 0.8, 1.2):
+        rotation = subgroup_element("K", math.tan(phi / 2.0))
+        traversals.append((similarity_transform(axis, rotation), CycleStyle(stroke=GREY)))
     panels = []
     for sigma in _SIGNS:
-        cycles = []
+        cycles = list(traversals)
         extras = []
-        for t in traversal_ts:
-            axis_image = similarity_transform(
-                CycleQuadruple(0.0, 1.0, 0.0, 0.0),
-                subgroup_element("K", t),
-                FSCcContext(sigma, 1),
-            )
-            cycles.append((axis_image, CycleStyle(stroke=GREY)))
         for v0 in (0.5, 1.0, 2.0):
             # the kernel's (u, v) pairs go straight to the polylines, no Point per sample
             for run in _polyline_runs(orbit_uv(rotations, Point(0.0, v0), sigma), viewport):

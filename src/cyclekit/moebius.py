@@ -12,9 +12,21 @@ of the rotation subgroup so exact mode never needs trigonometry.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .errors import NotAKOrbit
 from .hypercomplex import SpaceSign
-from .numbers import Scalar, div, is_exact, one_like, scalar_sqrt, sqrt_or_float, zero_like
+from .numbers import (
+    Scalar,
+    clear_denominators,
+    div,
+    from_numerators,
+    is_exact,
+    one_like,
+    scalar_sqrt,
+    sqrt_or_float,
+    zero_like,
+)
 from .value import Value
 
 
@@ -100,11 +112,21 @@ class IwasawaFactors(Value):
 
 
 def compose(g1: GroupElement, g2: GroupElement) -> GroupElement:
+    """The matrix product g1 g2, checked by ``GroupElement``'s determinant test.
+
+    Exact entries are multiplied over their integer numerators and each
+    sum divided once (``numbers.clear_denominators``/``from_numerators``);
+    a float in either element runs the same products on the given values.
+    """
+    e1, e2 = g1.entries(), g2.entries()
+    ((a1, b1, c1, d1), (a2, b2, c2, d2)), (den1, den2) = clear_denominators(e1, e2)
+    columns = (e2[::2], e2[1::2])
     return GroupElement(
-        g1.a * g2.a + g1.b * g2.c,
-        g1.a * g2.b + g1.b * g2.d,
-        g1.c * g2.a + g1.d * g2.c,
-        g1.c * g2.b + g1.d * g2.d,
+        *from_numerators(
+            [a1 * a2 + b1 * c2, a1 * b2 + b1 * d2, c1 * a2 + d1 * c2, c1 * b2 + d1 * d2],
+            den1 * den2,
+            [row + column for row in (e1[:2], e1[2:]) for column in columns],
+        )
     )
 
 
@@ -127,14 +149,30 @@ def orbit_uv(elements, z: Point, sigma: SpaceSign) -> list[tuple[Scalar, Scalar]
 
     The one expansion of the action: (az+b) * conj(cz+d) / modsq(cz+d)
     over the scalars, with no Point built per image.  None stands where
-    the modulus vanishes and ``mobius_apply`` gives INFINITY.  The
-    quotients are ``div``'s: a float point makes every modulus a float,
-    which ``div`` divides with ``/``, and exact input gives Fractions.
+    the modulus vanishes and ``mobius_apply`` gives INFINITY.  An exact
+    point under exact elements moves over integer numerators
+    (``numbers.clear_denominators``), where each element's denominator
+    cancels and an image is two ``Fraction``s over the modulus, as
+    ``div`` gives.  With a float anywhere the quotients are ``div``'s: a
+    float point makes every modulus a float, which ``div`` divides with ``/``.
     """
     u, v = z.u, z.v
     sig = int(sigma)
     exact = is_exact(u, v)
     images = []
+    if exact and all(is_exact(*g.entries()) for g in elements):
+        ((u, v),), (dz,) = clear_denominators((u, v))
+        for g in elements:
+            ((a, b, c, d),), _ = clear_denominators(g.entries())
+            den_re = c * u + d * dz
+            mod = den_re * den_re - sig * (c * v) ** 2
+            if mod == 0:
+                images.append(None)
+                continue
+            re = (a * u + b * dz) * den_re - sig * a * c * v * v
+            # re and mod carry (dg dz)^2, v (ad - bc) only dg^2 dz, with dg the element's denominator
+            images.append((Fraction(re, mod), Fraction(v * (a * d - b * c) * dz, mod)))
+        return images
     for g in elements:
         a, b, c, d = g.a, g.b, g.c, g.d
         den_re = c * u + d
@@ -153,7 +191,8 @@ def subgroup_element(kind: str, param: Scalar) -> GroupElement:
 
     A(t) = diag(t, 1/t) with t > 0; N(t) is the shift by t; K(t) uses the
     tangent-half-angle point (cos, sin) = ((1-t^2)/(1+t^2), 2t/(1+t^2)),
-    so rotations stay rational in exact mode.
+    so rotations stay rational in exact mode: with t = p/q they are the
+    ``Fraction``s (q^2-p^2)/(q^2+p^2) and 2pq/(q^2+p^2) of the numerators.
     """
     if kind == "A":
         if param <= 0:
@@ -162,6 +201,11 @@ def subgroup_element(kind: str, param: Scalar) -> GroupElement:
     if kind == "N":
         return GroupElement(one_like(param), param, zero_like(param), one_like(param))
     if kind == "K":
+        if is_exact(param):
+            p, q = param.numerator, param.denominator
+            norm = q * q + p * p
+            cos, sin = Fraction(q * q - p * p, norm), Fraction(2 * p * q, norm)
+            return GroupElement(cos, sin, -sin, cos)
         denom = 1 + param * param
         cos = div(1 - param * param, denom)
         sin = div(2 * param, denom)
@@ -203,11 +247,12 @@ def k_orbit(
     return [INFINITY if image is None else Point(*image) for image in images]
 
 
-def reduce_to_k_orbit(cycle, sigma_cycle: SpaceSign) -> tuple[Scalar, Scalar]:
+def reduce_to_k_orbit(cycle, sigma_cycle: SpaceSign | None = None) -> tuple[Scalar, Scalar]:
     """Shift nu and dilation alpha moving a cycle onto a rotation orbit.
 
     Applying N(-nu) then A(alpha) through the similarity action yields a
-    quadruple with l = 0 and k = m up to scale.  Cycles whose shifted
+    quadruple with l = 0 and k = m up to scale, whatever the cycle-space
+    sign: ``sigma_cycle`` is accepted and not read.  Cycles whose shifted
     m/k is not positive admit no such form.  The fourth root defining
     alpha is taken as two square roots, each of which falls back to a
     float when it is irrational.

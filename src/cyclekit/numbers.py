@@ -10,9 +10,12 @@ exact/float policy lives here alone: ``vanishes`` is the one zero test
 ``parse_scalar`` is the one rule for scalars read from text (the CLI, the
 figure parameters and the JSON document reader).  ``clear_denominators``
 and ``from_numerators`` decide the mode of the polynomials of
-``relations.pairing`` and ``relations._sandwich``, written once, over
-the integer numerators of exact operands (one common denominator per
-group, one ``Fraction`` per output) or over the float operands as given.
+``relations.pairing``, ``relations._sandwich``,
+``cycle.similarity_transform`` and ``moebius.compose``, written once,
+over the integer numerators of exact operands (one common denominator
+per group, one ``Fraction`` per output) or over the float operands as
+given; ``moebius.orbit_uv`` clears the numerators of an exact point and
+of exact elements the same way.
 """
 
 from __future__ import annotations

@@ -100,7 +100,9 @@ def parse_document(text: str, exact: bool = False) -> CycleSetDocument:
         except ValueError as exc:
             raise DocumentError(f"{where}: {exc}") from exc
         style_raw = entry.get("style", {})
-        stroke = style_raw.get("stroke", DEFAULT_STROKE) if isinstance(style_raw, dict) else None
+        if not isinstance(style_raw, dict):
+            raise DocumentError(f"{where}: style must be a JSON object")
+        stroke = style_raw.get("stroke", DEFAULT_STROKE)
         if not isinstance(stroke, str) or any(ch in stroke for ch in '"<&'):
             raise DocumentError(f"{where}: style needs a stroke colour without '\"', '<' or '&'")
         try:

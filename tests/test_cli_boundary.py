@@ -417,3 +417,17 @@ def test_boolean_dash_draws_as_it_says(tmp_path, dash, dashed):
     out = tmp_path / "out.svg"
     assert cli_main(["draw", "--in", str(doc), "--out", str(out)]) == 0
     assert ("stroke-dasharray" in out.read_text(encoding="utf-8")) is dashed
+
+
+@pytest.mark.parametrize("style", [3, "#222", ["#222"], None])
+@pytest.mark.parametrize("command", ["draw", "transform"])
+def test_style_that_is_not_a_json_object_is_a_document_error(capsys, tmp_path, command, style):
+    cycle = {"k": 1, "l": 0, "n": 0, "m": -1, "style": style}
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(dict(GOOD_DOC, cycles=[cycle])), encoding="utf-8")
+    out = tmp_path / "out"
+    extra = ["--g", "1,0,0,1"] if command == "transform" else []
+    code, err = run(capsys, [command, *extra, "--in", str(doc), "--out", str(out)])
+    assert code == 3
+    assert err == "document error: cycle 0: style must be a JSON object\n"
+    assert not out.exists()

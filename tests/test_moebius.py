@@ -218,6 +218,14 @@ def test_reduce_to_k_orbit():
         reduce_to_k_orbit(CycleQuadruple(1, 0, 0, -1), E)
 
 
+@pytest.mark.parametrize("sigma_cycle", ALL_SIGNS)
+def test_unread_sign_arguments_are_optional(sigma_cycle):
+    cyc = CycleQuadruple(1, 3, Fraction(5, 4), 10)
+    assert reduce_to_k_orbit(cyc) == reduce_to_k_orbit(cyc, sigma_cycle)
+    g = subgroup_element("K", Fraction(1, 3))
+    assert similarity_transform(cyc, g) == similarity_transform(cyc, g, FSCcContext(sigma_cycle))
+
+
 def test_reduce_to_k_orbit_lands_on_orbit_form():
     rng = random.Random(17)
     ctx = FSCcContext(E, 1)

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ALL_SIGNS, rand_cycle, rand_fraction, rand_group_exact, rand_real_circle
+from test_moebius import per_point_apply
 from test_scalar_policy import ref_gauss_solve
 from cyclekit import (
     CycleQuadruple,
@@ -14,6 +15,7 @@ from cyclekit import (
     DegenerateReflection,
     DegenerateRelationWarning,
     FSCcContext,
+    GroupElement,
     INFINITY,
     Inconsistent,
     Point,
@@ -21,6 +23,7 @@ from cyclekit import (
     SpaceSign,
     centre,
     common_inverse_point,
+    compose,
     cycle_eval,
     det_invariant,
     focus,
@@ -36,9 +39,11 @@ from cyclekit import (
     roots,
     s_ghost,
     similarity_transform,
+    subgroup_element,
     zero_radius_cycle,
 )
 from cyclekit.cycle import normalized_key
+from cyclekit.moebius import orbit_uv
 from cyclekit.numbers import div, is_exact, vanishes
 
 E, P, H = ALL_SIGNS
@@ -556,9 +561,11 @@ def typed(value):
     """The value with the type of every scalar in it; floats by their bits."""
     if isinstance(value, CycleQuadruple):
         return typed(value.components())
+    if isinstance(value, GroupElement):
+        return typed(value.entries())
     if isinstance(value, Point):
         return typed((value.u, value.v))
-    if isinstance(value, tuple):
+    if isinstance(value, (tuple, list)):
         return tuple(typed(x) for x in value)
     if isinstance(value, float):
         return (float, value.hex())
@@ -602,3 +609,159 @@ def test_an_operand_left_out_of_an_output_leaves_it_an_int():
     ctx = ONLY_K1_FRACTION["ctx"]
     reflected = reflect_cycle(ONLY_K1_FRACTION["c1"], ONLY_K1_FRACTION["c2"], ctx)
     assert type(reflected.m) is int and type(reflected.k) is Fraction
+
+
+# The group layer's formulas as they were written over the scalars themselves,
+# before compose, similarity_transform, the exact rotations and exact orbit_uv
+# were evaluated over integer numerators.
+def ref_similarity_transform(cycle, g):
+    a, b, c, d = g.entries()
+    k, l, n, m = cycle.components()
+    zero = 0 * n
+    return CycleQuadruple(
+        zero + d * d * k + 2 * c * d * l + c * c * m,
+        zero + (a * d + b * c) * l + b * d * k + a * c * m,
+        div(n, 1),
+        zero + b * b * k + 2 * a * b * l + a * a * m,
+    )
+
+
+def ref_compose(g1, g2):
+    return GroupElement(
+        g1.a * g2.a + g1.b * g2.c,
+        g1.a * g2.b + g1.b * g2.d,
+        g1.c * g2.a + g1.d * g2.c,
+        g1.c * g2.b + g1.d * g2.d,
+    )
+
+
+def ref_rotation(t):
+    denom = 1 + t * t
+    cos = div(1 - t * t, denom)
+    sin = div(2 * t, denom)
+    return GroupElement(cos, sin, -sin, cos)
+
+
+def ref_orbit_uv(elements, z, sigma):
+    images = [per_point_apply(g, z, sigma) for g in elements]
+    return [None if image is INFINITY else (image.u, image.v) for image in images]
+
+
+# a * d - b * c = 1 for d = (1 + b * c) / a; the scale then makes GroupElement normalise
+PIVOTS = st.one_of(
+    st.sampled_from([1, -1, True, Fraction(1), Fraction(-1), 1.0, -1.0]),
+    FRACTIONS.filter(lambda x: abs(x) >= Fraction(1, 8)),
+    FRACTIONS.filter(lambda x: abs(x) >= Fraction(1, 8)).map(float),
+)
+SCALES = st.sampled_from([1, 1, 1, 2, Fraction(2, 3), 3.0])
+
+
+@st.composite
+def group_elements(draw):
+    scalar = draw(st.sampled_from(MODES))
+    a, b, c, scale = draw(PIVOTS), draw(scalar), draw(scalar), draw(SCALES)
+    d = (1 + b * c) * a if a in (1, -1) else div(1 + b * c, a)
+    if scale == 1:
+        return GroupElement(a, b, c, d)
+    return GroupElement(*(scale * x for x in (a, b, c, d)))
+
+
+ROTATION_PARAMETERS = st.one_of(*MODES)
+ELEMENTS = group_elements() | ROTATION_PARAMETERS.map(lambda t: subgroup_element("K", t))
+
+
+@st.composite
+def orbit_cases(draw):
+    """Elements, a point and a sign; the point sits on the first element's pole set at times."""
+    elements = draw(st.lists(ELEMENTS, max_size=4))
+    sigma = draw(st.sampled_from(ALL_SIGNS))
+    scalar = draw(st.sampled_from(MODES))
+    u, v = draw(scalar), draw(scalar)
+    if elements and elements[0].c != 0 and draw(st.booleans()):
+        # c u + d = twist c v with twist^2 = sigma makes the modulus (twist^2 - sigma) (c v)^2 vanish
+        g = elements[0]
+        twist = {E: 0, P: 0, H: draw(st.sampled_from([1, -1]))}[sigma]
+        v = v * 0 if sigma == E else v
+        u = div(twist * g.c * v - g.d, g.c)
+    return elements, Point(u, v), sigma
+
+
+@st.composite
+def quadruples(draw):
+    scalar = draw(st.sampled_from(MODES))
+    return CycleQuadruple(*draw(st.tuples(scalar, scalar, scalar, scalar).filter(any)))
+
+
+# (library function, reference, arguments)
+GROUP_CALLS = {
+    "similarity_transform": (
+        similarity_transform, ref_similarity_transform, st.tuples(quadruples(), group_elements())
+    ),
+    "compose": (compose, ref_compose, st.tuples(group_elements(), group_elements())),
+    "rotation": (lambda t: subgroup_element("K", t), ref_rotation, st.tuples(ROTATION_PARAMETERS)),
+    "orbit_uv": (orbit_uv, ref_orbit_uv, orbit_cases()),
+}
+
+HALF = Fraction(1, 2)
+# one Fraction entry each, read by some outputs and not by others
+ONLY_B_FRACTION = GroupElement(1, HALF, 0, 1)
+ONLY_C_FRACTION = GroupElement(1, 0, HALF, 1)
+SHEAR = GroupElement(1, 0, 2, 1)
+INTEGER_CYCLE = CycleQuadruple(1, 2, 3, -1)
+POLE_SET = GroupElement(2, 3, 1, 2)  # c u + d = 0 at u = -2, and = v at (-1, 1)
+
+GROUP_EXAMPLES = [
+    ("similarity_transform", (INTEGER_CYCLE, ONLY_B_FRACTION)),
+    ("similarity_transform", (INTEGER_CYCLE, ONLY_C_FRACTION)),
+    ("compose", (ONLY_B_FRACTION, SHEAR)),
+    ("compose", (SHEAR, ONLY_B_FRACTION)),
+    ("compose", (ONLY_C_FRACTION, SHEAR)),
+    # zero entries, a Fraction with denominator 1, a normalised element
+    ("similarity_transform", (CycleQuadruple(0, 0, 1, 0), GroupElement(0, -1, 1, 0))),
+    ("compose", (GroupElement(0, -1, 1, 0), GroupElement(Fraction(1), 0, 0, 1))),
+    ("compose", (GroupElement(2, 1, 0, Fraction(9, 2)), ONLY_B_FRACTION)),
+    # signed zeros in float mode, and exact operands beside float ones
+    ("similarity_transform", (CycleQuadruple(-0.0, 0.0, -1.0, 0.0), GroupElement(1.0, -0.0, 0.0, 1.0))),
+    ("similarity_transform", (CycleQuadruple(1, HALF, 0, 2), GroupElement(1.0, 0.5, 0.0, 1.0))),
+    ("compose", (GroupElement(1.0, -0.0, 0.0, 1.0), ONLY_B_FRACTION)),
+    *[("rotation", (t,)) for t in (0, True, Fraction(2), Fraction(-3, 4), -0.0, 0.5)],
+    # pole points in each plane: the modulus vanishes
+    ("orbit_uv", ([POLE_SET], Point(-2, 0), E)),
+    ("orbit_uv", ([POLE_SET, ONLY_B_FRACTION], Point(-2, HALF), P)),
+    ("orbit_uv", ([POLE_SET], Point(-1, 1), H)),
+    ("orbit_uv", ([POLE_SET], Point(-1.0, 1.0), H)),
+    # a negative modulus in the hyperbolic plane: 2^2 - 3^2
+    ("orbit_uv", ([POLE_SET], Point(0, 3), H)),
+    # one float element among exact ones leaves the exact ones Fractions
+    ("orbit_uv", ([ONLY_B_FRACTION, GroupElement(1.0, 0.0, 0.0, 1.0)], Point(1, 2), H)),
+    ("orbit_uv", ([ONLY_B_FRACTION], Point(0.5, -0.0), E)),
+    ("orbit_uv", ([], Point(1, 2), E)),
+]
+
+
+def assert_group_call_matches(name, args):
+    func, ref, _ = GROUP_CALLS[name]
+    assert relation_outcome(func, args) == relation_outcome(ref, args)
+
+
+@pytest.mark.parametrize("name", sorted(GROUP_CALLS))
+@settings(max_examples=150)
+@given(data=st.data())
+def test_group_layer_matches_the_fraction_formulas(name, data):
+    assert_group_call_matches(name, data.draw(GROUP_CALLS[name][2]))
+
+
+@pytest.mark.parametrize("name, args", GROUP_EXAMPLES)
+def test_group_layer_matches_the_fraction_formulas_on_edge_cases(name, args):
+    assert_group_call_matches(name, args)
+
+
+def test_an_operand_left_out_of_a_group_output_leaves_it_an_int():
+    # k of the similarity action reads only c and d of g, m only a and b
+    moved = similarity_transform(INTEGER_CYCLE, ONLY_B_FRACTION)
+    assert [type(x) for x in moved.components()] == [int, Fraction, Fraction, Fraction]
+    moved = similarity_transform(INTEGER_CYCLE, ONLY_C_FRACTION)
+    assert [type(x) for x in moved.components()] == [Fraction, Fraction, Fraction, int]
+    # each entry of g1 g2 reads one row of g1 and one column of g2
+    assert [type(x) for x in compose(ONLY_B_FRACTION, SHEAR).entries()] == [Fraction, Fraction, int, int]
+    assert [type(x) for x in compose(SHEAR, ONLY_B_FRACTION).entries()] == [int, Fraction, int, Fraction]
