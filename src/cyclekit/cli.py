@@ -358,9 +358,5 @@ def _dispatch(args) -> int:
     raise UsageError(f"unknown command {command!r}")
 
 
-def main() -> int:
-    return cli_main()
-
-
 if __name__ == "__main__":
     sys.exit(cli_main())

@@ -35,6 +35,7 @@ from .numbers import (
     div,
     from_numerators,
     is_exact,
+    one_like,
     scalar_sqrt,
     sqrt_or_float,
     vanishes,
@@ -220,8 +221,8 @@ def focus(cycle: CycleQuadruple, sigma_cycle: SpaceSign) -> Point:
 def zero_radius_cycle(at: tuple[Scalar, Scalar], ctx: FSCcContext) -> CycleQuadruple:
     """(1, x, y, x^2 - sigma_cycle*y^2): the isotropic cycle centred at (x, y)."""
     x, y = at
-    one = 1 if is_exact(x, y) else 1.0
-    return CycleQuadruple(one, x, y, x * x - int(ctx.sigma_cycle) * y * y)
+    m = x * x - int(ctx.sigma_cycle) * y * y
+    return CycleQuadruple(one_like(m), x, y, m)
 
 
 def roots(cycle: CycleQuadruple) -> list[Scalar]:

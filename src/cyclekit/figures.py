@@ -28,7 +28,7 @@ from .hypercomplex import SpaceSign
 from .moebius import INFINITY, Point, orbit_uv, subgroup_element
 from .numbers import fmt12, parse_scalars
 from .relations import common_inverse_point, ghost_cycle, invert_point, orthogonal_family, s_ghost
-from .svgout import CANVAS_PX, CycleSetDocument, CycleStyle, polyline, render_svg, write_text
+from .svgout import CANVAS_PX, CycleSetDocument, CycleStyle, dot, polyline, render_svg, write_text
 from .value import Value
 
 RED = "#c62828"
@@ -92,17 +92,12 @@ def _param(params: dict[str, str], key: str, build, names: str, default):
 
 
 def _extra_dot(point, colour: str, viewport, scale: float = 3.0) -> str:
-    u = float(point.u if isinstance(point, Point) else point[0])
-    v = float(point.v if isinstance(point, Point) else point[1])
-    r = scale * (viewport[1] - viewport[0]) / CANVAS_PX
-    return (
-        f'<circle cx="{fmt12(u)}" cy="{fmt12(v)}" r="{fmt12(r)}" '
-        f'fill="{colour}" stroke="none"/>'
-    )
+    return dot(*point, scale * (viewport[1] - viewport[0]) / CANVAS_PX, colour)
 
 
-def _orbit_parameters(samples: int = 257) -> list[float]:
+def _orbit_parameters() -> list[float]:
     # tangent half-angle grid covering the whole rotation group once
+    samples = 257
     params = []
     for i in range(samples):
         phi = -math.pi + 2.0 * math.pi * (i + 0.5) / samples

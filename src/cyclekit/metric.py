@@ -5,14 +5,14 @@ plane and is returned as-is.  Lengths are squared radii of cycles
 anchored at the start of a directed interval, so reversing an interval
 can change the answer.  Perpendicularity is stationarity of the length,
 decided from its closed-form derivative in the input's scalar mode.
+Only ``FromFocus`` lengths and the variational oracle import the solver
+(``cycle``), and only ``conformality_ratios`` the group action (``moebius``).
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from functools import cache
-from importlib import import_module
 
 from .errors import (
     BranchInstability,
@@ -25,19 +25,6 @@ from .errors import (
 from .hypercomplex import SpaceSign
 from .numbers import REL_TOL, Scalar, div, vanishes
 from .value import Value
-
-
-@cache
-def _layer(name: str):
-    """The sibling module ``name``, imported when a function first needs it.
-
-    Only ``FromFocus`` lengths and the variational oracle reach the solver
-    (``cycle``), and only conformality reaches the group action
-    (``moebius``).  The cache spares
-    ``length``, which runs many times in one conformality or
-    perpendicularity query, an import statement (about 2 us) per call.
-    """
-    return import_module(f".{name}", __package__)
 
 
 class DirectedInterval(Value):
@@ -101,7 +88,8 @@ def variational_distance_oracle(
     independent of the closed-form distance.  Supported for the
     elliptic/elliptic regime; other regimes are attempted with a warning.
     """
-    cycle = _layer("cycle")
+    from . import cycle
+
     if not (sigma == SpaceSign.ELLIPTIC and sigma_cycle == SpaceSign.ELLIPTIC):
         warnings.warn(
             "variational distance outside the elliptic regime is experimental",
@@ -157,7 +145,7 @@ def length(interval: DirectedInterval, kind: LengthKind) -> list[Scalar]:
 
     Distance has one value.  From-centre is Du^2 - sigma_cycle Dv^2 +
     (sigma_cycle - sigma) B_v^2 with D = B - A, and raises the solver's
-    errors for sigma_cycle = p.  From-focus, the only kind that reaches the
+    errors for sigma_cycle = p.  From-focus, the only kind that imports the
     solver (``cycle``), may have two branches, and degenerates to
     zero-radius cycles when the start lies on the real axis.
     """
@@ -179,7 +167,8 @@ def length(interval: DirectedInterval, kind: LengthKind) -> list[Scalar]:
         raise DegenerateFocalPoint(
             "every cycle with a real-axis focus through another point is zero-radius"
         )
-    cycle = _layer("cycle")
+    from . import cycle
+
     cycles = cycle.cycle_from_constraints(
         [
             cycle.HasFocus(interval.a, kind.sigma_cycle),
@@ -250,7 +239,8 @@ def conformality_ratios(
     Ratios of first branches, square-rooted; for a Moebius-conformal
     length the spread across directions vanishes as t -> 0.
     """
-    moebius = _layer("moebius")
+    from . import moebius
+
     sigma = kind.sigma
     base = moebius.Point(float(y[0]), float(y[1]))
     image = moebius.mobius_apply(g, base, sigma)

@@ -139,7 +139,8 @@ def mobius_apply(g: GroupElement, z: PointOrInfinity, sigma: SpaceSign) -> Point
     if z is INFINITY:
         if g.c == 0:
             return INFINITY
-        return Point(div(g.a, g.c), 0 if is_exact(g.a, g.c) else 0.0)
+        u = div(g.a, g.c)
+        return Point(u, zero_like(u))
     image = orbit_uv((g,), z, sigma)[0]
     return INFINITY if image is None else Point(*image)
 
@@ -213,11 +214,6 @@ def subgroup_element(kind: str, param: Scalar) -> GroupElement:
     raise ValueError(f"unknown subgroup kind {kind!r}")
 
 
-def rotation_from_cos_sin(cos_phi: Scalar, sin_phi: Scalar) -> GroupElement:
-    """Rotation matrix from a point of the unit circle (used by recomposition)."""
-    return GroupElement(cos_phi, sin_phi, -sin_phi, cos_phi)
-
-
 def iwasawa_decompose(g: GroupElement) -> IwasawaFactors:
     """Factor g = A(alpha) N(nu) K(cos,sin).
 
@@ -235,7 +231,7 @@ def iwasawa_decompose(g: GroupElement) -> IwasawaFactors:
 def iwasawa_recompose(factors: IwasawaFactors) -> GroupElement:
     return compose(
         compose(subgroup_element("A", factors.alpha), subgroup_element("N", factors.nu)),
-        rotation_from_cos_sin(factors.cos_phi, factors.sin_phi),
+        GroupElement(factors.cos_phi, factors.sin_phi, -factors.sin_phi, factors.cos_phi),
     )
 
 

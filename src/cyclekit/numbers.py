@@ -154,13 +154,10 @@ def scalar_to_json(value: Scalar):
 
 
 def scalar_repr(value: Scalar) -> str:
-    """Compact text form used by the CLI (quadruples, points)."""
+    """Compact CLI text (quadruples, points): ``fmt12``, or the text of ``scalar_to_json``."""
     if isinstance(value, float):
         return fmt12(value)
-    frac = Fraction(value)
-    if frac.denominator == 1:
-        return str(frac.numerator)
-    return f"{frac.numerator}/{frac.denominator}"
+    return str(scalar_to_json(value))
 
 
 def fmt12(value: Scalar) -> str:

@@ -211,10 +211,7 @@ def render_svg(
     except (ZeroDivisionError, OverflowError) as exc:
         raise CycleKitError(f"the cycle geometry leaves the float range ({exc})") from exc
     for u, v in doc.points:
-        out.append(
-            f'<circle cx="{fmt12(u)}" cy="{fmt12(v)}" r="{fmt12(1.25 * dot_r)}" '
-            f'fill="#222222" stroke="none"/>'
-        )
+        out.append(dot(u, v, 1.25 * dot_r, "#222222"))
     for extra in extras or []:
         out.append(extra)
     out.append("</g>")
@@ -255,11 +252,7 @@ def _cycle_elements(
     elements: list[str] = []
     r_sq = float(radius_sq(quad, FSCcContext(sigma, 1))) if k != 0 else None
     if r_sq == 0.0:
-        spot = centre(quad, sigma)
-        elements.append(
-            f'<circle cx="{fmt12(float(spot.u))}" cy="{fmt12(float(spot.v))}" '
-            f'r="{fmt12(dot_r)}" fill="{style.stroke}" stroke="none"/>'
-        )
+        elements.append(dot(*centre(quad, sigma), dot_r, style.stroke))
         if sigma == SpaceSign.ELLIPTIC:
             return elements
     if k == 0:
@@ -394,6 +387,11 @@ def _hyperbola_polylines(
     if not elements:
         elements.append("<!-- empty hyperbolic locus -->")
     return elements
+
+
+def dot(u: Scalar, v: Scalar, r: float, colour: str) -> str:
+    """A filled <circle> of radius r at (u, v) with no stroke, numbers formatted by fmt12."""
+    return f'<circle cx="{fmt12(u)}" cy="{fmt12(v)}" r="{fmt12(r)}" fill="{colour}" stroke="none"/>'
 
 
 def polyline(points, attrs: str) -> str:

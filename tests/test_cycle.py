@@ -41,6 +41,7 @@ from cyclekit import (
     length,
     mobius_apply,
     normalize,
+    projective_close,
     projective_eq,
     radius_sq,
     roots,
@@ -68,6 +69,27 @@ def test_incidence_of_infinity_is_lineness():
     assert not is_incident(UNIT_CIRCLE, INFINITY, E)
 
 
+def test_incidence_of_a_finite_point_is_a_vanishing_equation():
+    assert is_incident(UNIT_CIRCLE, Point(Fraction(3, 5), Fraction(-4, 5)), E)
+    assert not is_incident(UNIT_CIRCLE, Point(0, 0), E)
+    assert is_incident(UNIT_CIRCLE, Point(Fraction(5, 4), Fraction(3, 4)), H)
+    assert not is_incident(UNIT_CIRCLE, Point(1, 1), H)
+    assert is_incident(UNIT_CIRCLE, Point(1, 5), P)
+
+
+def test_infinity_has_no_evaluation():
+    with pytest.raises(ValueError, match="INFINITY has no evaluation"):
+        cycle_eval(UNIT_CIRCLE, INFINITY, E)
+
+
+def test_projective_close_compares_up_to_scale_and_sign():
+    assert projective_close(UNIT_CIRCLE, CycleQuadruple(-2.5, 0.0, 0.0, 2.5))
+    assert projective_close(UNIT_CIRCLE, CycleQuadruple(3, 0, 1e-12, -3))
+    assert not projective_close(UNIT_CIRCLE, CycleQuadruple(3, 0, 1e-6, -3))
+    assert projective_close(UNIT_CIRCLE, CycleQuadruple(3, 0, 1e-6, -3), tol=1e-6)
+    assert not projective_close(UNIT_CIRCLE, CycleQuadruple(1, 0, 0, 1))
+
+
 def test_fscc_matrix_example():
     mat = to_fscc(CycleQuadruple(1, 2, 3, 4), CTX_E)
     a11, a12, a21, a22 = mat.entries()
@@ -77,6 +99,16 @@ def test_fscc_matrix_example():
     assert (a22.re, a22.im) == (-2, 3)
     flipped = to_fscc(CycleQuadruple(1, 2, 3, 4), FSCcContext(E, -1))
     assert flipped.entries()[0].im == -3
+
+
+@pytest.mark.parametrize("ctx", ALL_CTX)
+def test_fscc_trace_is_the_imaginary_2sn(ctx):
+    from cyclekit import HNumber
+
+    cycle = CycleQuadruple(1, Fraction(2, 3), Fraction(-5, 2), 4)
+    trace = to_fscc(cycle, ctx).trace()
+    assert trace == HNumber(0, trace_part(cycle, ctx), ctx.sigma_cycle)
+    assert trace.im == 2 * ctx.s * cycle.n
 
 
 def test_fscc_roundtrip_random():

@@ -111,6 +111,12 @@ def test_length_focal_boundary_effect():
         length(DirectedInterval((1, 0), (2, 3)), FromFocus(E, E))
 
 
+def test_reversed_interval_swaps_the_endpoints():
+    interval = DirectedInterval((0, 1), (Fraction(1, 2), 3))
+    assert interval.reversed() == DirectedInterval((Fraction(1, 2), 3), (0, 1))
+    assert interval.reversed().reversed() == interval
+
+
 def test_length_non_symmetric_from_focus():
     a, b = (0, -1), (0, Fraction(1, 2))
     forward = [float(x) for x in length(DirectedInterval(a, b), FromFocus(E, E))]

@@ -23,6 +23,8 @@
   lengths need neither the solver nor the group action, and only
   fig-distances loads ``metric``.
 * ``figures.py`` names no constraint type and no solver entry point.
+* Every parameter of every function is read in its body, apart from
+  ``UNREAD_PARAMETERS`` and a method's ``self``.
 """
 
 import ast
@@ -230,3 +232,56 @@ def test_figures_name_no_constraint_solver():
     }
     path = Path(cyclekit.__file__).parent / "figures.py"
     assert [f"line {node.lineno}" for node in ast.walk(tree(path)) if named(node, names)] == []
+
+
+# Parameters a body may leave unread, each kept for its callers: optional
+# parameters that tests pass (by position or keyword), the figure recipes'
+# calling convention, and the signature ``object.__setattr__`` fixes.
+UNREAD_PARAMETERS = {
+    "cycle.similarity_transform.ctx",
+    "moebius.reduce_to_k_orbit.sigma_cycle",
+    "metric.is_perpendicular.h",
+    "metric.is_perpendicular.tol",
+    "figures._fig_k_orbits.params",
+    "figures._fig_distances.params",
+    "value.Value.__setattr__.value",
+}
+
+
+def unread_parameters(node, prefix):
+    """``prefix.qualname.parameter`` for every parameter that its function's body never loads."""
+    found = set()
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = f"{prefix}.{child.name}"
+            args = child.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+            loads = {
+                n.id
+                for statement in child.body
+                for n in ast.walk(statement)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            found |= {
+                f"{name}.{p.arg}" for p in params if p and p.arg != "self" and p.arg not in loads
+            }
+            found |= unread_parameters(child, name)
+        elif isinstance(child, ast.ClassDef):
+            found |= unread_parameters(child, f"{prefix}.{child.name}")
+    return found
+
+
+def test_every_parameter_is_read():
+    found = set().union(*(unread_parameters(tree(path), path.stem) for path in SOURCES))
+    assert found == UNREAD_PARAMETERS
+
+
+def test_an_unread_parameter_is_caught():
+    code = """
+class C:
+    def method(self, used, *args, unused=1, **kwargs):
+        def inner(x, y):
+            return x
+        return used, args, kwargs
+"""
+    assert unread_parameters(ast.parse(code), "m") == {"m.C.method.unused", "m.C.method.inner.y"}

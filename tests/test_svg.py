@@ -15,6 +15,7 @@ from cyclekit.svgout import (
     render_svg,
     write_text,
 )
+from golden_panels import OTHER_PARAMETERS  # parameters other than the defaults
 
 E, P, H = SpaceSign.ELLIPTIC, SpaceSign.PARABOLIC, SpaceSign.HYPERBOLIC
 
@@ -75,6 +76,15 @@ def test_zero_radius_dot():
     )
     svg = render_svg(doc)
     assert 'cx="1" cy="2"' in svg and 'fill="#aa0000"' in svg
+
+
+@pytest.mark.parametrize("sigma, comment", [(E, "empty elliptic locus"), (P, "empty parabolic locus")])
+def test_a_locus_with_no_real_point_is_an_svg_comment(sigma, comment):
+    quad = CycleQuadruple(1.0, 0.0, 0.0, 1.0)  # u^2 - sigma v^2 = -1: no point for sigma = -1 or 0
+    svg = render_svg(CycleSetDocument(sigma, [(quad, CycleStyle())], [], (-2.0, 2.0, -2.0, 2.0)))
+    assert f"<!-- {comment} -->" in svg
+    assert "<circle" not in svg and "<path" not in svg and svg.count("<line") == 2  # the axes
+    xml.dom.minidom.parseString(svg)
 
 
 def test_empty_document_is_valid_svg():
@@ -176,15 +186,6 @@ def test_zero_radius_recipe_panel_count():
     with tempfile.TemporaryDirectory() as d:
         paths = run_figure(FigureRecipe("fig-zero-radius"), d)
         assert len(paths) == 9
-
-
-# Parameters other than the defaults, so a re-render overwrites different bytes.
-OTHER_PARAMETERS = {
-    "fig-eph-cycle": {"cycle": "1,0.5,-2,-1"},
-    "fig-zero-radius": {"point": "-0.75,1.25"},
-    "fig-ortho1": {"b": "0.6,1.4"},
-    "fig-ortho2": {"b": "0.6,1.4"},
-}
 
 
 @pytest.mark.parametrize("name", RECIPE_NAMES)
