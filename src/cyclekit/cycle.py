@@ -15,7 +15,9 @@ cycle-space sign.  Signs travel separately in an FSCcContext.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import truediv
 
 from .errors import (
     EverywhereZero,
@@ -392,18 +394,29 @@ def _quadratic_residual(constraint: HasFocus, quad: list[Scalar]) -> Scalar:
 
 
 def _gauss_solve(rows, rhs, exact: bool):
-    """Gaussian elimination over Fraction or float.
+    """Gauss-Jordan elimination of the augmented rows, over the integers or over float.
 
-    The augmented matrix is converted to the requested mode first, so
-    every component of the result is a Fraction, or every one a float.
-    Returns (particular solution, nullspace basis) or None when the
+    Exact rows are cleared to integers (``numbers.clear_denominators``, one
+    denominator per row); scaling a row leaves the reduced row-echelon form
+    alone.  Each step replaces every other row by pivot * row - entry *
+    pivot_row and divides it by the gcd of its entries, so the rows stay
+    small integers and no pivot row is divided.  The reduced form is
+    unique, so each output entry, built once as ``Fraction(entry, pivot)``,
+    is the Fraction that elimination over Fraction gives, whatever the
+    pivot rows.  Float rows are divided by their pivot, which leaves a
+    pivot of 1.0, and the first pivot above a threshold scaled to the
+    largest entry is taken.  Returns (particular solution, nullspace basis),
+    every component a Fraction or every one a float, or None when the
     system is inconsistent.
     """
     nvars = 4
-    scalar = Fraction if exact else float
-    aug = [[scalar(x) for x in r] + [scalar(b)] for r, b in zip(rows, rhs)]
-    tol = 0 if exact else 1e-12
-    scale = 1 if exact else max([1.0] + [abs(x) for row in aug for x in row])
+    if exact:
+        aug, _ = clear_denominators(*[[*r, b] for r, b in zip(rows, rhs)])
+        scalar, quotient, tol, scale = Fraction, Fraction, 0, 1
+    else:
+        aug = [[float(x) for x in r] + [float(b)] for r, b in zip(rows, rhs)]
+        scalar, quotient, tol = float, truediv, 1e-12
+        scale = max([1.0] + [abs(x) for row in aug for x in row])
     pivots: list[int] = []
     r = 0
     for col in range(nvars):
@@ -418,12 +431,17 @@ def _gauss_solve(rows, rhs, exact: bool):
         if pivot_row is None:
             continue
         aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
-        piv = aug[r][col]
-        aug[r] = [x / piv for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][col] != 0:
-                factor = aug[i][col]
-                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[r])]
+        if not exact:
+            aug[r] = [x / aug[r][col] for x in aug[r]]
+        top = aug[r]
+        piv = top[col]
+        for i, row in enumerate(aug):
+            factor = row[col]
+            if i != r and factor != 0:
+                row = [piv * x - factor * y for x, y in zip(row, top)]
+                if exact and (common := math.gcd(*row)) > 1:
+                    row = [x // common for x in row]
+                aug[i] = row
         pivots.append(col)
         r += 1
         if r == len(aug):
@@ -431,16 +449,17 @@ def _gauss_solve(rows, rhs, exact: bool):
     for i in range(r, len(aug)):
         if abs(aug[i][nvars]) > tol * scale:
             return None
+    # the reduced form: each pivot row over its pivot, which a float row holds as 1.0 already
+    reduced = [(aug[i], aug[i][col] if exact else 1.0, col) for i, col in enumerate(pivots)]
     particular = [scalar(0)] * nvars
-    for row_idx, col in enumerate(pivots):
-        particular[col] = aug[row_idx][nvars]
-    free_cols = [c for c in range(nvars) if c not in pivots]
+    for row, piv, col in reduced:
+        particular[col] = quotient(row[nvars], piv)
     basis = []
-    for free in free_cols:
+    for free in [c for c in range(nvars) if c not in pivots]:
         vec = [scalar(0)] * nvars
         vec[free] = scalar(1)
-        for row_idx, col in enumerate(pivots):
-            vec[col] = -aug[row_idx][free]
+        for row, piv, col in reduced:
+            vec[col] = quotient(-row[free], piv)
         basis.append(vec)
     return particular, basis
 
@@ -492,8 +511,8 @@ def _focus_roots(constraint: HasFocus, base: list[Scalar], direction: list[Scala
 def pencil(constraints: list[Constraint]) -> tuple[list[Scalar], list[list[Scalar]], bool]:
     """Linear stage of the solver: (base, basis, projective).
 
-    The rows are eliminated over Fraction when every constraint scalar is
-    exact and over float otherwise; the solutions are base + span(basis).
+    The rows are eliminated over the integers when every constraint scalar
+    is exact and over float otherwise; the solutions are base + span(basis).
     When every right-hand side is 0 the system is projective and the last
     nullspace vector is popped into the place of the particular solution.
     Raises Inconsistent when no solution, or only the zero quadruple, exists.

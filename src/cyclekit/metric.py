@@ -144,10 +144,13 @@ def length(interval: DirectedInterval, kind: LengthKind) -> list[Scalar]:
     """Squared lengths of the interval, all real branches ascending.
 
     Distance has one value.  From-centre is Du^2 - sigma_cycle Dv^2 +
-    (sigma_cycle - sigma) B_v^2 with D = B - A, and raises the solver's
-    errors for sigma_cycle = p.  From-focus, the only kind that imports the
-    solver (``cycle``), may have two branches, and degenerates to
-    zero-radius cycles when the start lies on the real axis.
+    (sigma_cycle - sigma) B_v^2 with D = B - A.  A parabolic centre
+    (sigma_cycle = p) lies on the real axis: a start there leaves a
+    one-parameter family of cycles (``UnderDetermined``), and a start off
+    it has none (``Inconsistent``), the solver's error classes.
+    From-focus, the only kind that imports the solver (``cycle``), may
+    have two branches, and degenerates to zero-radius cycles when the
+    start lies on the real axis.
     """
     if isinstance(kind, Distance):
         return [distance_sq(interval.a, interval.b, kind.sigma)]
@@ -156,8 +159,10 @@ def length(interval: DirectedInterval, kind: LengthKind) -> list[Scalar]:
         sigma_cycle = int(kind.sigma_cycle)
         if sigma_cycle == 0:
             if vanishes(av, (au, av, bu, bv)):
-                raise UnderDetermined("solution family has affine dimension 1")
-            raise Inconsistent("linear constraints admit no solution")
+                raise UnderDetermined(
+                    "a parabolic centre on the real axis leaves a one-parameter family of cycles"
+                )
+            raise Inconsistent("a parabolic centre lies on the real axis, and the start does not")
         du, dv, sigma = bu - au, bv - av, int(kind.sigma)
         # div(., 1) keeps the Fraction (or float) that the solver's radius_sq gave
         return [div(du * du - sigma_cycle * dv * dv + (sigma_cycle - sigma) * bv * bv, 1)]

@@ -12,6 +12,7 @@ of the rotation subgroup so exact mode never needs trigonometry.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import NotAKOrbit
@@ -81,13 +82,27 @@ class GroupElement(Value):
         self.__post_init__()
 
     def __post_init__(self):
-        det = self.a * self.d - self.b * self.c
-        if det <= 0:
-            raise ValueError(f"determinant must be positive, got {det}")
-        if det != 1:
-            root = scalar_sqrt(det, "group element normalisation")
-            for name in ("a", "b", "c", "d"):
-                object.__setattr__(self, name, div(getattr(self, name), root))
+        entries = self.entries()
+        ((a, b, c, d),), (den,) = clear_denominators(entries)
+        num, den_sq = a * d - b * c, den * den
+        if num == den_sq:
+            return
+        det = shown = div(num, den_sq)
+        if not is_exact(det) and not 0 < abs(det) < math.inf:
+            # an overflow (inf, or inf - inf = nan), an underflow to 0 or an entry that is not
+            # finite: retry over the entries scaled by a power of two to below 1 in size, where
+            # the determinant is finite exactly when every entry is
+            shift = max((math.frexp(x)[1] for x in entries if x), default=0)
+            entries = [math.ldexp(x, -shift) for x in entries]
+            det = entries[0] * entries[3] - entries[1] * entries[2]
+            if not abs(det) < math.inf:
+                raise ValueError(f"entries must be finite, got {self.entries()}")
+            shown = f"{det} * 2**{2 * shift}" if det else det
+        if not det > 0:
+            raise ValueError(f"determinant must be positive, got {shown}")
+        root = scalar_sqrt(det, "group element normalisation")
+        for name, x in zip(("a", "b", "c", "d"), entries):
+            object.__setattr__(self, name, div(x, root))
 
     def entries(self) -> tuple[Scalar, Scalar, Scalar, Scalar]:
         return (self.a, self.b, self.c, self.d)
@@ -208,8 +223,13 @@ def subgroup_element(kind: str, param: Scalar) -> GroupElement:
             cos, sin = Fraction(q * q - p * p, norm), Fraction(2 * p * q, norm)
             return GroupElement(cos, sin, -sin, cos)
         denom = 1 + param * param
-        cos = div(1 - param * param, denom)
-        sin = div(2 * param, denom)
+        if denom == math.inf:
+            # beyond |t| ~ 1.3e154 t^2 overflows: the same quotients, over 1/t^2
+            inverse = 1 / param
+            denom = inverse * inverse + 1
+            cos, sin = (inverse * inverse - 1) / denom, 2 * inverse / denom
+        else:
+            cos, sin = div(1 - param * param, denom), div(2 * param, denom)
         return GroupElement(cos, sin, -sin, cos)
     raise ValueError(f"unknown subgroup kind {kind!r}")
 

@@ -15,7 +15,11 @@ and ``from_numerators`` decide the mode of the polynomials of
 over the integer numerators of exact operands (one common denominator
 per group, one ``Fraction`` per output) or over the float operands as
 given; ``moebius.orbit_uv`` clears the numerators of an exact point and
-of exact elements the same way.
+of exact elements the same way.  The exact branch of ``cycle._gauss_solve``
+clears each augmented row to integers and eliminates over them, and
+``GroupElement`` tests ad - bc against the squared denominator of its
+entries' numerators, building a ``Fraction`` determinant only when it is
+not 1.
 """
 
 from __future__ import annotations

@@ -22,7 +22,15 @@ from cyclekit import (
 # Property tests draw the same examples on every run and never time out:
 # host speed varies by up to 2x, and runs of two commits must be comparable.
 settings.register_profile("cyclekit", deadline=None, derandomize=True)
-settings.load_profile("cyclekit")
+# The same, with about 2,000 examples for each test that does not fix its own count:
+# python -m pytest --hypothesis-profile deep tests/test_scalar_policy.py
+settings.register_profile("deep", settings.get_profile("cyclekit"), max_examples=2000)
+
+
+def pytest_configure(config):
+    """Load "cyclekit" unless ``--hypothesis-profile`` names a profile to run."""
+    if not config.getoption("hypothesis_profile", None):
+        settings.load_profile("cyclekit")
 
 ALL_SIGNS = (SpaceSign.ELLIPTIC, SpaceSign.PARABOLIC, SpaceSign.HYPERBOLIC)
 

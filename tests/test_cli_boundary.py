@@ -431,3 +431,21 @@ def test_style_that_is_not_a_json_object_is_a_document_error(capsys, tmp_path, c
     assert code == 3
     assert err == "document error: cycle 0: style must be a JSON object\n"
     assert not out.exists()
+
+
+def test_float_element_with_a_determinant_beyond_the_float_range_acts_as_itself(capsys):
+    """1e300 * 1e300 overflows; the element is the identity, and its ratios are the identity's."""
+    conformal = ["conformal", "--y", "0.2,1.1", "--kind", "distance", "--sigma", "e"]
+    assert cli_main([*conformal, "--g", "1,0,0,1"]) == 0
+    identity = capsys.readouterr().out
+    assert cli_main([*conformal, "--g", "1e300,0,0,1e300"]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (identity, "")
+
+
+def test_rotation_parameter_beyond_the_square_range_fixes_the_point(capsys):
+    """K(1e300) is -1 to within 2e-300, which fixes every point."""
+    assert cli_main(["orbit", "--base", "0,2", "--sigma", "e", "--params", "1e300"]) == 0
+    captured = capsys.readouterr()
+    u, v = (float(x) for x in captured.out.split(","))
+    assert captured.err == "" and abs(u) < 1e-290 and v == 2.0

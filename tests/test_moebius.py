@@ -53,6 +53,62 @@ def test_group_element_normalises_determinant():
     assert math.isclose(gf.a * gf.d - gf.b * gf.c, 1.0)
 
 
+@pytest.mark.parametrize(
+    "entries, want",
+    [
+        ((1e300, 0.0, 0.0, 1e300), (1.0, 0.0, 0.0, 1.0)),  # det overflows to inf
+        ((-1e300, 0.0, 0.0, -1e300), (-1.0, 0.0, 0.0, -1.0)),
+        ((1e-200, 0.0, 0.0, 1e-200), (1.0, 0.0, 0.0, 1.0)),  # det underflows to 0
+        ((5e-324, 0.0, 0.0, 5e-324), (1.0, 0.0, 0.0, 1.0)),
+        ((2e300, 1e300, 1e300, 1e300), (2.0, 1.0, 1.0, 1.0)),  # inf - inf = nan
+        ((3e-200, 1e-200, 2e-200, 1e-200), (3.0, 1.0, 2.0, 1.0)),
+    ],
+)
+def test_float_determinant_out_of_range_is_retried_at_a_power_of_two(entries, want):
+    g = GroupElement(*entries)
+    assert all(type(x) is float for x in g.entries())
+    assert all(math.isclose(x, y, abs_tol=1e-15) for x, y in zip(g.entries(), want))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", range(4))
+def test_float_element_with_an_entry_that_is_not_finite_is_refused(bad, where):
+    entries = [1.0, 0.0, 0.0, 1.0]
+    entries[where] = bad
+    with pytest.raises(ValueError, match="^entries must be finite"):
+        GroupElement(*entries)
+
+
+@pytest.mark.parametrize(
+    "entries, shown",
+    [
+        ((1e300, 1e300, 1e300, 1e300), "0.0"),  # inf - inf, singular at any scale
+        ((1.0, 1.0, 1.0, 1.0), "0.0"),
+        ((1e300, 0.0, 0.0, -1e300), "-0.5574278282379019 * 2**1994"),
+        ((-1.0, 0.0, 0.0, 1.0), "-1.0"),  # a finite determinant is shown as it is
+    ],
+)
+def test_float_determinant_that_is_not_positive_is_refused(entries, shown):
+    with pytest.raises(ValueError) as info:
+        GroupElement(*entries)
+    assert str(info.value) == f"determinant must be positive, got {shown}"
+
+
+@pytest.mark.parametrize("t", [1.35e154, 1e200, -1e300, 1.7976931348623157e308])
+def test_float_rotation_parameter_beyond_the_square_range_gives_finite_entries(t):
+    cos, sin, minus_sin, cos2 = subgroup_element("K", t).entries()
+    exact = Fraction(t)
+    assert (cos, minus_sin, cos2) == (cos, -sin, cos)
+    assert math.isclose(cos, (1 - exact * exact) / (1 + exact * exact), rel_tol=1e-15)
+    assert math.isclose(sin, 2 * exact / (1 + exact * exact), rel_tol=1e-15)
+
+
+def test_float_rotation_below_the_overflow_keeps_the_quotients_over_one_plus_t_squared():
+    t = 1.3e154  # 1 + t*t is still finite
+    assert 1 + t * t < math.inf
+    assert subgroup_element("K", t).entries()[:2] == ((1 - t * t) / (1 + t * t), 2 * t / (1 + t * t))
+
+
 @pytest.mark.parametrize("sigma", ALL_SIGNS)
 def test_shift_and_dilation(sigma):
     z = Point(Fraction(1, 3), Fraction(2, 5))

@@ -1,5 +1,7 @@
 """Functions read their scalar mode through ``numbers`` and keep the results they gave
-when they chose ``0``/``0.0`` or ``1``/``1.0`` themselves.
+when they chose ``0``/``0.0`` or ``1``/``1.0`` themselves, and ``GroupElement``
+checks its determinant over integer numerators with the results and messages
+of the check over the entries as given.
 
 Each test compares the library with a test-local copy of the expression it
 replaced, by value and type, with floats compared by ``float.hex`` so that
@@ -8,8 +10,10 @@ signed zeros and the last bit count.  The operands mix ``int``,
 of the float range.
 """
 
+import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
@@ -29,7 +33,7 @@ from cyclekit import (
     subgroup_element,
     zero_radius_cycle,
 )
-from cyclekit.numbers import div, is_exact, scalar_repr
+from cyclekit.numbers import div, is_exact, scalar_repr, scalar_sqrt
 
 SCALARS = st.one_of(
     st.integers(-9, 9),
@@ -43,9 +47,11 @@ SIGNS = st.sampled_from(ALL_SIGNS)
 
 
 def canonical(value):
-    """Type and value, a float by ``float.hex``; Points, quadruples and elements by their parts."""
+    """Type and value, a float by ``float.hex``; Points, quadruples, elements, tuples by their parts."""
     if value is INFINITY:
         return "INFINITY"
+    if isinstance(value, tuple):
+        return tuple(canonical(x) for x in value)
     if isinstance(value, (Point, CycleQuadruple, GroupElement)):
         return (type(value).__name__, *(canonical(x) for x in value.__getstate__().values()))
     if isinstance(value, float):
@@ -140,3 +146,63 @@ def factors(draw):
 @given(factors())
 def test_iwasawa_recompose_matches_the_replaced_expression(f):
     assert outcome(iwasawa_recompose, f) == outcome(ref_iwasawa_recompose, f)
+
+
+NORMALISATION = "group element normalisation"
+NO_ROOT = "has no exact rational square root; use float mode"
+NOT_POSITIVE = "determinant must be positive, got"
+
+
+def ref_group_element_entries(a, b, c, d):
+    """The replaced ``GroupElement.__post_init__``: the determinant over the entries as given."""
+    det = a * d - b * c
+    if det <= 0:
+        raise ValueError(f"determinant must be positive, got {det}")
+    if det == 1:
+        return (a, b, c, d)
+    root = scalar_sqrt(det, NORMALISATION)
+    return tuple(div(x, root) for x in (a, b, c, d))
+
+
+def group_element_entries(a, b, c, d):
+    return GroupElement(a, b, c, d).entries()
+
+
+@st.composite
+def matrices(draw):
+    """Four scalars, or an element of determinant one times a scalar (determinant its square)."""
+    if draw(st.booleans()):
+        return tuple(draw(SCALARS) for _ in range(4))
+    factor = draw(SCALARS)
+    return tuple(factor * x for x in draw(elements()).entries())
+
+
+@given(matrices())
+def test_group_element_check_matches_the_replaced_expression(entries):
+    a, b, c, d = entries
+    det = a * d - b * c
+    # a float determinant that is 0, inf or nan now scales the entries before it gives up
+    assume(is_exact(det) or 0 < abs(det) < math.inf)
+    want = outcome(ref_group_element_entries, *entries)
+    assert outcome(group_element_entries, *entries) == want
+
+
+@pytest.mark.parametrize(
+    "entries, want",
+    [
+        ((1, 0, 0, -1), ("ValueError", f"{NOT_POSITIVE} -1")),
+        ((Fraction(1, 2), 1, 1, 2), ("ValueError", f"{NOT_POSITIVE} 0")),
+        ((Fraction(1, 3), 2, Fraction(1, 2), Fraction(-5, 7)), ("ValueError", f"{NOT_POSITIVE} -26/21")),
+        ((2, 0, 0, 1), ("ExactModeError", f"{NORMALISATION}: 2 {NO_ROOT}")),
+        ((Fraction(2, 3), 0, 0, Fraction(1, 3)), ("ExactModeError", f"{NORMALISATION}: 2/9 {NO_ROOT}")),
+        (
+            (Fraction(4, 9), Fraction(1, 9), 0, 1),
+            canonical((Fraction(2, 3), Fraction(1, 6), Fraction(0), Fraction(3, 2))),
+        ),
+        ((4, 0, 0, 1), canonical((Fraction(2), Fraction(0), Fraction(0), Fraction(1, 2)))),
+    ],
+)
+def test_group_element_outcomes_match_the_replaced_expression(entries, want):
+    """Non-positive and non-square determinants raise the class and message they raised."""
+    assert outcome(ref_group_element_entries, *entries) == want
+    assert outcome(group_element_entries, *entries) == want

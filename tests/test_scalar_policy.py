@@ -11,6 +11,10 @@ with the solver: a focus needs an n that does not vanish, and a float n
 vanishes when it is within the tolerance of max(|l|, sqrt|km|), the
 candidate's other sizes of degree one.  The old exact test ``n == 0``
 kept float cycles that exact mode rejects.
+
+The linear stage alone, ``cycle._gauss_solve``, is checked against the
+copy's elimination too: exact systems, eliminated over the integers now,
+must give the same Fractions, and float systems the same bits.
 """
 
 import math
@@ -36,7 +40,7 @@ from cyclekit import (
     pairing,
     subgroup_element,
 )
-from cyclekit.cycle import normalized_key
+from cyclekit.cycle import _gauss_solve, normalized_key
 from cyclekit.numbers import REL_TOL, clear_denominators, div, from_numerators, is_exact, vanishes
 
 EXAMPLES = settings(max_examples=300)
@@ -359,6 +363,68 @@ def test_solver_matches_the_replaced_solver(constraints):
     if not all(is_exact(*ref_scalars(c)) for c in constraints):
         want = [CycleQuadruple(*(float(x) for x in q.components())) for q in want]
     assert [typed(q) for q in got] == [typed(q) for q in want]
+
+
+# ---------------------------------------------------------------------------
+# The linear stage: integer elimination against the replaced Fraction elimination
+
+
+@st.composite
+def linear_systems(draw):
+    """1 to 4 augmented rows over int, or over int and Fraction.
+
+    Beside fresh rows a system may hold a zero row, a multiple of an
+    earlier row (rank deficiency) or such a multiple with another
+    right-hand side (inconsistency), in any order.
+    """
+    entry = st.integers(-6, 6) if draw(st.booleans()) else EXACT
+    rows, rhs = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["fresh", "fresh", "zero", "multiple", "shifted"]))
+        if kind == "fresh" or not rows:
+            rows.append(draw(st.lists(entry, min_size=4, max_size=4)))
+            rhs.append(draw(entry))
+        elif kind == "zero":
+            rows.append([0, 0, 0, 0])
+            rhs.append(draw(entry))
+        else:
+            i, factor = draw(st.integers(0, len(rows) - 1)), draw(entry.filter(bool))
+            rows.append([factor * x for x in rows[i]])
+            rhs.append(factor * rhs[i] + (kind == "shifted"))
+    order = draw(st.permutations(range(len(rows))))
+    return [rows[i] for i in order], [rhs[i] for i in order]
+
+
+def exact_typed(solved):
+    if solved is None:
+        return None
+    particular, basis = solved
+    return [(type(x), x) for x in particular], [[(type(x), x) for x in vec] for vec in basis]
+
+
+def float_bits(solved):
+    if solved is None:
+        return None
+    particular, basis = solved
+    return [x.hex() for x in particular], [[x.hex() for x in vec] for vec in basis]
+
+
+@given(linear_systems())
+# the first nonzero pivot (1) is not the largest (5), and a later column needs no swap
+@example(([[1, 2, 0, 0], [5, 1, 0, 0]], [1, 0]))
+@example(([[0, 0, 3, Fraction(1, 2)], [0, 0, 6, 1], [0, 0, 0, 0]], [1, 2, 0]))
+@example(([[0, 0, 0, 0]], [1]))
+def test_exact_elimination_matches_the_replaced_elimination(system):
+    rows, rhs = system
+    assert exact_typed(_gauss_solve(rows, rhs, True)) == exact_typed(ref_gauss_solve(rows, rhs, True))
+
+
+@given(linear_systems(), st.floats(-4, 4, allow_nan=False))
+def test_float_elimination_keeps_the_replaced_bits(system, jitter):
+    rows, rhs = system
+    rows = [[float(x) + jitter * (i == j) for j, x in enumerate(row)] for i, row in enumerate(rows)]
+    rhs = [float(b) for b in rhs]
+    assert float_bits(_gauss_solve(rows, rhs, False)) == float_bits(ref_gauss_solve(rows, rhs, False))
 
 
 # ---------------------------------------------------------------------------
