@@ -410,9 +410,11 @@ def float_bits(solved):
 
 
 @given(linear_systems())
-# the first nonzero pivot (1) is not the largest (5), and a later column needs no swap
+# the first nonzero pivot (1) is not the largest (5)
 @example(([[1, 2, 0, 0], [5, 1, 0, 0]], [1, 0]))
+# one pivot, in the third column, with a dependent row and a zero row
 @example(([[0, 0, 3, Fraction(1, 2)], [0, 0, 6, 1], [0, 0, 0, 0]], [1, 2, 0]))
+# a zero row with a nonzero right-hand side
 @example(([[0, 0, 0, 0]], [1]))
 def test_exact_elimination_matches_the_replaced_elimination(system):
     rows, rhs = system
