@@ -11,11 +11,15 @@ exact/float policy lives here alone: ``vanishes`` is the one zero test
 figure parameters and the JSON document reader).  ``clear_denominators``
 and ``from_numerators`` decide the mode of the polynomials of
 ``relations.pairing``, ``relations._sandwich``,
-``cycle.similarity_transform`` and ``moebius.compose``, written once,
-over the integer numerators of exact operands (one common denominator
-per group, one ``Fraction`` per output) or over the float operands as
-given; ``moebius.orbit_uv`` clears the numerators of an exact point and
-of exact elements the same way.  The exact branch of ``cycle._gauss_solve``
+``cycle.similarity_transform``, ``cycle.det_invariant`` and
+``moebius.compose``, written once, over the integer numerators of exact
+operands (one common denominator per group, one ``Fraction`` per output)
+or over the float operands as given; ``moebius.orbit_uv`` clears the
+numerators of an exact point and of exact elements the same way.  These
+helpers run on every exact query, so they scan their operands in plain
+loops, which the interpreter runs faster than ``any``/``all`` over a
+generator or a ``map``, and skip the ``lcm`` of a group whose
+denominators are all 1.  The exact branch of ``cycle._gauss_solve``
 clears each augmented row to integers and eliminates over them, and
 ``GroupElement`` tests ad - bc against the squared denominator of its
 entries' numerators, building a ``Fraction`` determinant only when it is
@@ -26,7 +30,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain
 
 from .errors import ExactModeError
 
@@ -42,7 +45,10 @@ MAX_EXPONENT = 4300
 
 def is_exact(*values: Scalar) -> bool:
     """True when none of the scalars is a float."""
-    return not any(isinstance(v, float) for v in values)
+    for v in values:
+        if isinstance(v, float):
+            return False
+    return True
 
 
 def vanishes(value: Scalar, *groups) -> bool:
@@ -70,12 +76,20 @@ def clear_denominators(*groups):
     operands ``v``.  A float anywhere gives the groups as they are, each
     over ``1.0``, so the polynomial runs on the given values.
     """
-    if not is_exact(*chain.from_iterable(groups)):
-        return groups, (1.0,) * len(groups)
+    for group in groups:
+        for v in group:
+            if isinstance(v, float):
+                return groups, (1.0,) * len(groups)
     numerators, denominators = [], []
     for group in groups:
-        den = math.lcm(*[v.denominator for v in group])
-        numerators.append([v.numerator * (den // v.denominator) for v in group])
+        dens = [v.denominator for v in group]
+        if dens.count(1) == len(dens):
+            den = 1
+            nums = [v.numerator for v in group]
+        else:
+            den = math.lcm(*dens)
+            nums = [v.numerator * (den // v.denominator) for v in group]
+        numerators.append(nums)
         denominators.append(den)
     return numerators, denominators
 
@@ -86,16 +100,23 @@ def from_numerators(values, den, operands):
     ``den`` is the product of the group denominators, one factor per
     degree, and ``operands[i]`` the original operands that output i reads.
     Float mode (``den`` a float) hands the values back.  An exact output is
-    one ``Fraction`` when one of its operands is a ``Fraction``, as its
-    expression over them would have been; otherwise it is the ``int``
-    ``value // den``, exact because the output is homogeneous.
+    the ``int`` ``value // den`` when all of its operands are ``int``s, as
+    its expression over them would have been, exact because the output is
+    homogeneous; otherwise (a ``Fraction`` among them) it is one
+    ``Fraction``.  The test asks for ``int`` rather than ``Fraction``
+    because ``isinstance(1, Fraction)`` runs ``ABCMeta.__instancecheck__``.
     """
     if isinstance(den, float):
         return tuple(values)
-    return tuple(
-        Fraction(value, den) if any(isinstance(v, Fraction) for v in ops) else value // den
-        for value, ops in zip(values, operands)
-    )
+    outputs = []
+    for value, ops in zip(values, operands):
+        for v in ops:
+            if not isinstance(v, int):
+                outputs.append(Fraction(value, den))
+                break
+        else:
+            outputs.append(value // den)
+    return tuple(outputs)
 
 
 def zero_like(value: Scalar) -> Scalar:
@@ -110,7 +131,8 @@ def div(a: Scalar, b: Scalar) -> Scalar:
     """Division that keeps exact scalars exact (int/int would give float)."""
     if isinstance(a, float) or isinstance(b, float):
         return a / b
-    return Fraction(a) / Fraction(b)
+    # Fraction(b) of an int or Fraction would be a copy; other divisors ("1/2") still need it
+    return Fraction(a) / (b if isinstance(b, (int, Fraction)) else Fraction(b))
 
 
 def parse_scalar(text: str, exact: bool = True) -> Scalar:
