@@ -509,7 +509,29 @@ def _satisfies(values: list[Scalar], constraints) -> bool:
 
 
 def _focus_roots(constraint: HasFocus, base: list[Scalar], direction: list[Scalar]) -> list[Scalar]:
-    """Parameters t at which base + t*direction satisfies the focus quadratic."""
+    """Parameters t at which base + t*direction satisfies the focus quadratic.
+
+    The residual R(q) = sigma_cycle n^2 - l^2 + m k - 2 v n k is a quadratic
+    form, so R(base + t dir) = a t^2 + b t + c with a = R(dir), c = R(base)
+    and b = 2 P(base, dir), P the polar form of R.  Exact mode reads a, b,
+    c from the form over the integer numerators of base, dir and v
+    (``numbers.clear_denominators``), one ``Fraction`` each, which are the
+    Fractions that three residuals would give.  Float mode evaluates R at
+    base and base +- dir, since the form's coefficients taken in floats
+    agree with exact mode less often.
+    """
+    v = constraint.point[1]
+    if is_exact(v, *base, *direction):
+        ((kb, lb, nb, mb), (kd, ld, nd, md), (v,)), (db, dd, dv) = clear_denominators(
+            base, direction, (v,)
+        )
+        s = int(constraint.sigma_cycle)
+        a = dv * (s * nd * nd - ld * ld + md * kd) - 2 * v * nd * kd
+        b = dv * (2 * (s * nb * nd - lb * ld) + mb * kd + md * kb) - 2 * v * (nb * kd + nd * kb)
+        c = dv * (s * nb * nb - lb * lb + mb * kb) - 2 * v * nb * kb
+        return _quadratic_roots(
+            Fraction(a, dv * dd * dd), Fraction(b, dv * db * dd), Fraction(c, dv * db * db)
+        )
     # residual(base + t dir) = a t^2 + b t + c via three evaluations
     c0 = _quadratic_residual(constraint, base)
     c_plus = _quadratic_residual(constraint, [x + y for x, y in zip(base, direction)])
@@ -551,6 +573,9 @@ def cycle_from_constraints(constraints: list[Constraint]) -> list[CycleQuadruple
     remains is one candidate, or a line base + t*direction whose
     candidates are the common roots t of the focus quadratics; a
     projective line also offers its direction, the point t = infinity.
+    Exact mode reads each quadratic's coefficients from the quadratic
+    form over integer numerators, float mode from three residuals
+    (``_focus_roots``).
     One pass then checks every candidate: k != 0 where a centre or focus
     needs it, an n that does not vanish (``_n_vanishes``) where a focus
     does, and every focus residual vanishes in the sense of

@@ -27,8 +27,6 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from golden_panels import first_difference
-
 from cyclekit import (
     CycleQuadruple,
     DirectedInterval,
@@ -46,8 +44,6 @@ SEED = 20261019
 BLOCK = 40  # inputs per hashed block
 BLOCKS = 5  # blocks per (function, mode, shape)
 SHAPES = ("normalised", "projective", "two-foci")
-
-__all__ = ["MANIFEST", "SEED", "first_difference", "manifest"]
 
 
 def _exact(rng: random.Random) -> int | Fraction:
@@ -86,7 +82,7 @@ def _system(rng: random.Random, scalar, shape: str) -> list:
     through = PassesThrough(_point(rng, scalar), _sign(rng))
     if shape == "normalised":
         return [focus, through, Normalised()]
-    # a repeated point leaves a line of candidates, another point cuts it to one
+    # one point, or the same point twice, leaves a line of candidates; two points leave one
     if rng.random() < 0.5:
         return [focus, through]
     second = through if rng.random() < 0.5 else PassesThrough(_point(rng, scalar), _sign(rng))

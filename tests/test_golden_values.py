@@ -2,7 +2,8 @@
 
 import json
 
-from golden_values import MANIFEST, SEED, first_difference, manifest
+from golden_panels import first_difference
+from golden_values import MANIFEST, SEED, manifest
 
 
 def test_values_match_the_golden_manifest():

@@ -353,6 +353,25 @@ def typed(quad):
 @example([HasFocus((1e5, 1.0), SpaceSign.ELLIPTIC), PassesThrough((1e5, 0.0), SpaceSign.PARABOLIC)])
 @example([HasFocus((0.0, 2.0**-34), SpaceSign.ELLIPTIC), PassesThrough((0.0, 0.0), SpaceSign.PARABOLIC),
           Normalised()])
+# each exact branch of the focus quadratic, whose coefficients exact mode reads
+# from the quadratic form: a = 0 with one root, a = b = 0 (Inconsistent),
+# a = b = c = 0 (UnderDetermined), disc < 0, disc = 0, an irrational root
+# (two float cycles), and on the projective line an irrational root and a = 0
+@example([HasFocus((Fraction(-1, 3), 0), SpaceSign.PARABOLIC), PassesThrough((-3, 1), SpaceSign.ELLIPTIC),
+          Normalised()])
+@example([HasFocus((4, Fraction(4, 3)), SpaceSign.PARABOLIC),
+          PassesThrough((2, Fraction(4, 3)), SpaceSign.ELLIPTIC), Normalised()])
+@example([HasFocus((2, -2), SpaceSign.PARABOLIC), PassesThrough((0, -2), SpaceSign.HYPERBOLIC), Normalised()])
+@example([HasFocus((4, Fraction(1, 3)), SpaceSign.ELLIPTIC), PassesThrough((1, -1), SpaceSign.PARABOLIC),
+          Normalised()])
+@example([HasFocus((Fraction(-1, 3), 2), SpaceSign.ELLIPTIC),
+          PassesThrough((Fraction(4, 3), Fraction(1, 3)), SpaceSign.PARABOLIC), Normalised()])
+@example([HasFocus((1, 2), SpaceSign.HYPERBOLIC), PassesThrough((0, 0), SpaceSign.HYPERBOLIC), Normalised()])
+@example([HasFocus((-2, -1), SpaceSign.HYPERBOLIC), PassesThrough((-2, 1), SpaceSign.HYPERBOLIC),
+          PassesThrough((-2, 1), SpaceSign.HYPERBOLIC)])
+@example([HasFocus((Fraction(1, 2), Fraction(-3, 2)), SpaceSign.PARABOLIC),
+          PassesThrough((Fraction(-2, 3), 0), SpaceSign.HYPERBOLIC),
+          PassesThrough((Fraction(-2, 3), 0), SpaceSign.HYPERBOLIC)])
 def test_solver_matches_the_replaced_solver(constraints):
     want = outcome(ref_cycle_from_constraints, constraints)
     got = outcome(cycle_from_constraints, constraints)
