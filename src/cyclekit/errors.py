@@ -80,4 +80,4 @@ class DegenerateRelationWarning(UserWarning):
 
 
 class ExperimentalRegimeWarning(UserWarning):
-    """Numeric oracle invoked outside its supported regime."""
+    """Variational distance outside the e/e and h/h regimes: in general not ``distance_sq``."""

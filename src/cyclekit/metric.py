@@ -4,9 +4,11 @@ The squared distance u^2 - sigma*v^2 may be negative in the hyperbolic
 plane and is returned as-is.  Lengths are squared radii of cycles
 anchored at the start of a directed interval, so reversing an interval
 can change the answer.  Perpendicularity is stationarity of the length,
-decided from its closed-form derivative in the input's scalar mode.
-Only ``FromFocus`` lengths and the variational oracle import the solver
-(``cycle``), and only ``conformality_ratios`` the group action (``moebius``).
+decided from its closed-form derivative in the input's scalar mode, and
+the variational distance is the closed-form stationary diameter of the
+cycles through two points.  Only ``FromFocus`` lengths import the solver
+(``cycle``), and only ``conformality_ratios`` the group action
+(``moebius``).
 """
 
 from __future__ import annotations
@@ -80,64 +82,44 @@ def variational_distance_oracle(
     b: tuple[Scalar, Scalar],
     sigma: SpaceSign,
     sigma_cycle: SpaceSign,
-) -> float:
-    """Extremal squared diameter over all cycles through both points.
+) -> Scalar:
+    """Stationary squared diameter of the sigma_cycle cycles through both points.
 
-    Golden-section search over the one-parameter pencil through the two
-    points, solved in float mode by ``cycle.pencil`` in the chart k = 1;
-    independent of the closed-form distance.  Supported for the
-    elliptic/elliptic regime; other regimes are attempted with a warning.
+    In the chart k = 1 the cycles (1, l, n, m) through A and B form a line:
+    with D = B - A and L = l - A_u, incidence at both points leaves
+    L Du + n Dv = c, c = (Du^2 - sigma Dv (2 A_v + Dv))/2.  The squared
+    diameter -4 det = 4 (L^2 - sigma_cycle n^2 - 2 A_v n - sigma A_v^2) is
+    quadratic along that line, with leading coefficient
+    Q = Dv^2 - sigma_cycle Du^2, so its stationary point solves one linear
+    equation: L* = -Du (sigma_cycle c + A_v Dv)/Q, n* = (A_v Du^2 + c Dv)/Q.
+    The value there reduces to P (Q - R)/Q, with P = Du^2 - sigma Dv^2 and
+    R = (1 - sigma sigma_cycle)(A_v + B_v)^2, in the input's scalar mode.
+    Where Q = 0 the diameter is linear along the line: constant, equal to P,
+    when R = 0 too, and without an extremum otherwise (``Inconsistent``).
+    R vanishes in the elliptic/elliptic and hyperbolic/hyperbolic regimes,
+    so there the value is ``distance_sq``, in float mode too, bit for bit;
+    the other seven regimes warn (``ExperimentalRegimeWarning``).  A == B
+    raises ``Inconsistent``.
     """
-    from . import cycle
-
-    if not (sigma == SpaceSign.ELLIPTIC and sigma_cycle == SpaceSign.ELLIPTIC):
+    s, s_cycle = int(sigma), int(sigma_cycle)
+    if s * s_cycle != 1:
         warnings.warn(
-            "variational distance outside the elliptic regime is experimental",
+            "variational distance outside the e/e and h/h regimes is experimental",
             ExperimentalRegimeWarning,
             stacklevel=2,
         )
-    base, basis, _ = cycle.pencil(
-        [
-            cycle.PassesThrough((float(a[0]), float(a[1])), sigma),
-            cycle.PassesThrough((float(b[0]), float(b[1])), sigma),
-            cycle.Normalised(),
-        ]
-    )
-    if len(basis) != 1:
+    (au, av), (bu, bv) = a, b
+    du, dv = bu - au, bv - av
+    if du == 0 and dv == 0:
         raise Inconsistent("point pair does not define a one-parameter pencil")
-    direction = basis[0]
-    ctx = cycle.FSCcContext(sigma_cycle, 1)
-    quadruple, radius_sq = cycle.CycleQuadruple, cycle.radius_sq  # looked up once, not per probe
-
-    def diameter_sq(t: float) -> float:
-        quad = quadruple(*(x + t * y for x, y in zip(base, direction)))
-        return 4.0 * float(radius_sq(quad, ctx))
-
-    # Bracket the extremum on an exponential grid (the pencil parameter
-    # scale is arbitrary), then refine by golden section.
-    candidates = [0.0]
-    for k in range(-8, 30):
-        candidates.append(2.0**k / 16.0)
-        candidates.append(-(2.0**k) / 16.0)
-    best_t = min(candidates, key=diameter_sq)
-    width = max(abs(best_t), 1.0)
-    lo, hi = best_t - width, best_t + width
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - phi * (hi - lo)
-    x2 = lo + phi * (hi - lo)
-    f1, f2 = diameter_sq(x1), diameter_sq(x2)
-    for _ in range(300):
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - phi * (hi - lo)
-            f1 = diameter_sq(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + phi * (hi - lo)
-            f2 = diameter_sq(x2)
-        if hi - lo < 1e-12 * max(1.0, abs(best_t)):
-            break
-    return diameter_sq((lo + hi) / 2.0)
+    p = du * du - s * dv * dv
+    r = (1 - s * s_cycle) * (av + bv) * (av + bv)
+    if r == 0:  # P (Q - R)/Q is P, and so is the constant diameter where Q = 0
+        return div(p, 1)
+    q = dv * dv - s_cycle * du * du
+    if q == 0:
+        raise Inconsistent("the squared diameter is linear along the pencil: no extremum")
+    return p * div(q - r, q)
 
 
 def length(interval: DirectedInterval, kind: LengthKind) -> list[Scalar]:

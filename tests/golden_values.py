@@ -4,7 +4,10 @@ The blocks run ``cycle_from_constraints`` on focus systems, exact and
 float: a focus and a point in the chart k = 1 ("normalised"), a focus
 and one or two points with no chart ("projective"), and two foci and a
 point ("two-foci").  Further blocks run ``length`` from a focus on exact
-and float intervals.  Inputs are drawn from ``random.Random(SEED)``.
+and float intervals, and the last ones ``variational_distance_oracle`` on
+exact and float point pairs in each of the nine (sigma, sigma_cycle)
+regimes.  Inputs are drawn from ``random.Random(SEED)``, in that order,
+so blocks appended at the end leave the earlier ones unchanged.
 Each input and its outcome are written as a canonical text: every value
 with its type name, floats by ``float.hex``, an error by its class and
 message.  The manifest pins these texts across commits;
@@ -24,12 +27,14 @@ import hashlib
 import json
 import random
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
 from cyclekit import (
     CycleQuadruple,
     DirectedInterval,
+    ExperimentalRegimeWarning,
     FromFocus,
     HasFocus,
     Normalised,
@@ -37,6 +42,7 @@ from cyclekit import (
     SpaceSign,
     cycle_from_constraints,
     length,
+    variational_distance_oracle,
 )
 
 MANIFEST = Path(__file__).with_name("golden_values.json")
@@ -103,6 +109,21 @@ def _interval(rng: random.Random, scalar) -> tuple:
     return interval, FromFocus(_sign(rng), _sign(rng))
 
 
+def _pair(rng: random.Random, scalar) -> tuple:
+    """Two points, half of the time placed where the oracle's Q or R may vanish or A = B."""
+    a, b = _point(rng, scalar), _point(rng, scalar)
+    shape = rng.randrange(8)
+    if shape == 0:
+        return a, a
+    if shape == 1:  # level: Q = 0 for a parabolic cycle sign
+        return a, (b[0], a[1])
+    if shape == 2:  # on the light cone: Q = 0 for a hyperbolic cycle sign
+        return a, (b[0], a[1] + b[0] - a[0])
+    if shape == 3:  # mirrored in the real axis: R = 0
+        return a, (b[0], -a[1])
+    return a, b
+
+
 def _text(value) -> str:
     """Canonical text of an input or a result: type names beside values, floats by ``float.hex``."""
     if isinstance(value, float):
@@ -156,6 +177,18 @@ def blocks() -> list[tuple[str, list[str]]]:
                     lines.append(f"{shown} -> {_outcome(*args)}")
                 first = index * BLOCK
                 out.append((f"{name} {first}-{first + BLOCK - 1}", lines))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExperimentalRegimeWarning)
+        for mode, scalar in (("exact", _exact), ("float", _float)):
+            for sigma in SpaceSign:
+                for sigma_cycle in SpaceSign:
+                    lines = []
+                    for _ in range(BLOCK):
+                        a, b = _pair(rng, scalar)
+                        args = (variational_distance_oracle, a, b, sigma, sigma_cycle)
+                        lines.append(f"{_text([a, b, sigma, sigma_cycle])} -> {_outcome(*args)}")
+                    name = f"variational_distance_oracle {mode} {sigma.name} {sigma_cycle.name}"
+                    out.append((f"{name} 0-{BLOCK - 1}", lines))
     return out
 
 

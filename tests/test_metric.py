@@ -1,3 +1,4 @@
+import math
 import random
 import warnings
 from decimal import Decimal, localcontext
@@ -11,23 +12,29 @@ from conftest import ALL_SIGNS, rand_fraction, rand_group_float
 from cyclekit import (
     BranchInstability,
     CycleKitError,
+    CycleQuadruple,
     DegenerateFocalPoint,
     DirectedInterval,
     Distance,
     ExperimentalRegimeWarning,
     FromCentre,
     FromFocus,
+    FSCcContext,
     GroupElement,
     HNumber,
     Inconsistent,
+    Normalised,
+    PassesThrough,
     conformality_ratios,
     distance_sq,
     h_conj_modsq,
     is_perpendicular,
     length,
+    radius_sq,
     variational_distance_oracle,
 )
 from cyclekit.cli import cli_main
+from cyclekit.cycle import pencil
 
 E, P, H = ALL_SIGNS
 
@@ -305,4 +312,123 @@ def test_conformality_spread_small():
             ratios = conformality_ratios(g, y, dirs, 1e-4, kind)
             spread = (max(ratios) - min(ratios)) / max(ratios)
             assert spread < 1e-3
+        checked += 1
+
+
+def test_variational_oracle_is_silent_only_where_it_is_the_distance():
+    for sigma in ALL_SIGNS:
+        for sigma_cycle in ALL_SIGNS:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                variational_distance_oracle((0, 0), (3, 4), sigma, sigma_cycle)
+            warned = any(issubclass(w.category, ExperimentalRegimeWarning) for w in caught)
+            assert warned == (int(sigma) * int(sigma_cycle) != 1)
+
+
+def test_variational_oracle_keeps_the_scalar_mode():
+    assert variational_distance_oracle((0, 0), (3, 4), E, E) == 25
+    assert type(variational_distance_oracle((0, 0), (3, 4), E, E)) is Fraction
+    assert type(variational_distance_oracle((0, Fraction(1, 2)), (3, 4), H, H)) is Fraction
+    assert type(variational_distance_oracle((0.0, 0.0), (3.0, 4.0), E, E)) is float
+
+
+def test_variational_oracle_far_from_the_origin():
+    assert variational_distance_oracle((1e8, 1e8), (1e8 + 1, 1e8), E, E) == 1.0
+
+
+@pytest.mark.parametrize("point", [(0, 0), (Fraction(1, 3), -2), (0.5, -1.5)])
+def test_variational_oracle_needs_two_points(point):
+    with pytest.raises(Inconsistent, match="point pair does not define a one-parameter pencil"):
+        variational_distance_oracle(point, point, E, E)
+
+
+def test_variational_oracle_constant_and_linear_diameters():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExperimentalRegimeWarning)
+        # every cycle through two real-axis points has the same parabolic diameter
+        assert variational_distance_oracle((0, 0), (1, 0), P, P) == 1
+        # off the axis the diameter is linear along the pencil and has no extremum
+        with pytest.raises(Inconsistent):
+            variational_distance_oracle((0, 1), (1, 1), P, P)
+        with pytest.raises(Inconsistent):
+            variational_distance_oracle((0, 1), (1, 2), E, H)
+
+
+@given(POINT, POINT)
+def test_variational_oracle_is_the_distance_in_the_elliptic_regime(a, b):
+    assume(a != b)
+    assert variational_distance_oracle(a, b, E, E) == distance_sq(a, b, E)
+
+
+@given(POINT, POINT, NONZERO, st.booleans())
+def test_variational_oracle_is_the_distance_in_the_hyperbolic_regime(a, b, d, on_cone):
+    # off the light cone at the stationary point; on it (Du^2 = Dv^2) every
+    # cycle through both points has squared diameter 0, which is distance_sq
+    if on_cone:
+        b = (a[0] + d, a[1] - d)
+    assume(a != b)
+    assert variational_distance_oracle(a, b, H, H) == distance_sq(a, b, H)
+
+
+def _pencil_extremum(a, b, sigma, sigma_cycle):
+    """The stationary squared diameter of the exact pencil through a and b, or None.
+
+    ``cycle.pencil`` gives the cycles base + t dir through both points in the
+    chart k = 1, and the squared diameter 4 radius_sq along them is a
+    quadratic in t, read off from its values at t = -1, 0 and 1.
+    """
+    base, (direction,), _ = pencil([PassesThrough(a, sigma), PassesThrough(b, sigma), Normalised()])
+    ctx = FSCcContext(sigma_cycle, 1)
+
+    def diameter_sq(t):
+        return 4 * radius_sq(CycleQuadruple(*(x + t * y for x, y in zip(base, direction))), ctx)
+
+    before, at, after = diameter_sq(-1), diameter_sq(0), diameter_sq(1)
+    curvature, slope = (before + after - 2 * at) / 2, (after - before) / 2
+    if curvature == 0:
+        return at if slope == 0 else None
+    return at - slope * slope / (4 * curvature)
+
+
+@given(SIGNS, SIGNS, POINT, POINT, NONZERO, st.sampled_from(("free", "level", "cone", "mirror")))
+def test_variational_oracle_is_the_stationary_diameter_of_the_pencil(
+    sigma, sigma_cycle, a, b, d, shape
+):
+    # the shapes reach Q = 0 (level pairs for a parabolic, cone pairs for a hyperbolic
+    # cycle sign) and pairs symmetric about the real axis, where the extra term vanishes
+    if shape == "level":
+        b = (b[0], a[1])
+    elif shape == "cone":
+        b = (a[0] + d, a[1] + d)
+    elif shape == "mirror":
+        b = (b[0], -a[1])
+    assume(a != b)
+    expected = _pencil_extremum(a, b, sigma, sigma_cycle)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExperimentalRegimeWarning)
+        if expected is None:
+            with pytest.raises(Inconsistent):
+                variational_distance_oracle(a, b, sigma, sigma_cycle)
+        else:
+            assert variational_distance_oracle(a, b, sigma, sigma_cycle) == expected
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e6 - 3])
+def test_float_variational_oracle_is_within_1e12_of_exact(shift):
+    # criterion 11's pairs, and the same pairs moved to coordinates of up to 1e6
+    rng = random.Random(11_000)
+    checked = 0
+    while checked < 2000:
+        a = (rng.uniform(-3, 3), rng.uniform(-3, 3))
+        b = (rng.uniform(-3, 3), rng.uniform(-3, 3))
+        if math.hypot(b[0] - a[0], b[1] - a[1]) < 0.1:
+            continue
+        ou, ov = rng.uniform(-shift, shift), rng.uniform(-shift, shift)
+        a, b = (a[0] + ou, a[1] + ov), (b[0] + ou, b[1] + ov)
+        got = variational_distance_oracle(a, b, E, E)
+        exact = variational_distance_oracle(
+            tuple(map(Fraction, a)), tuple(map(Fraction, b)), E, E
+        )
+        assert type(got) is float
+        assert abs(Fraction(got) - exact) <= Fraction(1, 10**12) * abs(exact)
         checked += 1

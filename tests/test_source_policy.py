@@ -20,8 +20,8 @@
   ``dataclasses``, ``inspect`` nor ``typing``.
 * ``import cyclekit`` loads no submodule, ``import cyclekit.cli`` only
   what its parser needs, and a command only the layers it uses: centre
-  lengths need neither the solver nor the group action, and only
-  fig-distances loads ``metric``.
+  lengths need neither the solver nor the group action, the variational
+  oracle needs no solver, and only fig-distances loads ``metric``.
 * ``figures.py`` names no constraint type and no solver entry point.
 * Every parameter of every function is read in its body, apart from
   ``UNREAD_PARAMETERS`` and a method's ``self``.
@@ -223,6 +223,15 @@ def test_centre_lengths_load_neither_the_solver_nor_the_group_action(tmp_path):
         assert modules.isdisjoint({"cycle", "moebius"})
     figure = after_command(["figure", "fig-eph-cycle", "--out", str(tmp_path)])
     assert "figures" in figure and "metric" not in figure
+
+
+def test_the_variational_oracle_loads_no_solver():
+    oracle = submodules(loaded(
+        "from cyclekit import SpaceSign, variational_distance_oracle\n"
+        "variational_distance_oracle((0, 0), (3, 4), SpaceSign.ELLIPTIC, SpaceSign.ELLIPTIC)"
+    ))
+    assert "metric" in oracle
+    assert "cycle" not in oracle
 
 
 def test_figures_name_no_constraint_solver():
