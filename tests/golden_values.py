@@ -4,9 +4,13 @@ The blocks run ``cycle_from_constraints`` on focus systems, exact and
 float: a focus and a point in the chart k = 1 ("normalised"), a focus
 and one or two points with no chart ("projective"), and two foci and a
 point ("two-foci").  Further blocks run ``length`` from a focus on exact
-and float intervals, and the last ones ``variational_distance_oracle`` on
-exact and float point pairs in each of the nine (sigma, sigma_cycle)
-regimes.  Inputs are drawn from ``random.Random(SEED)``, in that order,
+and float intervals, ``variational_distance_oracle`` on exact and float
+point pairs in each of the nine (sigma, sigma_cycle) regimes, then
+``cycle.pencil`` and ``cycle_from_constraints`` on exact, float and mixed
+systems of all five constraint types, and ``orthogonal_family`` with
+counts 1 to 12 on exact, float and mixed cycles and points.  The last
+two draw edge scalars too: +-0.0, ``bool`` and an ``IntEnum``
+(``SpaceSign``).  Inputs are drawn from ``random.Random(SEED)``, in that order,
 so blocks appended at the end leave the earlier ones unchanged.
 Each input and its outcome are written as a canonical text: every value
 with its type name, floats by ``float.hex``, an error by its class and
@@ -36,20 +40,28 @@ from cyclekit import (
     DirectedInterval,
     ExperimentalRegimeWarning,
     FromFocus,
+    FSCcContext,
     HasFocus,
+    HasKindCentre,
+    IsOrthogonalTo,
     Normalised,
     PassesThrough,
     SpaceSign,
     cycle_from_constraints,
     length,
+    orthogonal_family,
     variational_distance_oracle,
 )
+from cyclekit.cycle import pencil
 
 MANIFEST = Path(__file__).with_name("golden_values.json")
 SEED = 20261019
 BLOCK = 40  # inputs per hashed block
 BLOCKS = 5  # blocks per (function, mode, shape)
 SHAPES = ("normalised", "projective", "two-foci")
+LINEAR_MODES = ("exact", "float", "mixed")
+# exact edge scalars (a bool and an IntEnum are ints) and float ones (the signed zeros)
+EDGES = {"exact": (True, False, *SpaceSign), "float": (0.0, -0.0)}
 
 
 def _exact(rng: random.Random) -> int | Fraction:
@@ -124,6 +136,56 @@ def _pair(rng: random.Random, scalar) -> tuple:
     return a, b
 
 
+def _linear_scalar(rng: random.Random, mode: str) -> int | Fraction | float:
+    """A scalar of ``mode`` ("exact" or "float"), an edge scalar of that mode one time in seven."""
+    if rng.random() < 1 / 7:
+        return rng.choice(EDGES[mode])
+    return _exact(rng) if mode == "exact" else _float(rng)
+
+
+def _scalars(rng: random.Random, mode: str, count: int) -> tuple:
+    """``count`` scalars of one constraint or cycle; a mixed one is exact, float or mixed itself."""
+    if mode == "mixed":
+        mode = rng.choice(("exact", "float", "each"))
+    if mode == "each":
+        return tuple(_linear_scalar(rng, rng.choice(("exact", "float"))) for _ in range(count))
+    return tuple(_linear_scalar(rng, mode) for _ in range(count))
+
+
+def _linear_cycle(rng: random.Random, mode: str) -> CycleQuadruple:
+    while True:
+        comps = _scalars(rng, mode, 4)
+        if any(comps):
+            return CycleQuadruple(*comps)
+
+
+def _constraint(rng: random.Random, mode: str):
+    kind = rng.randrange(5)
+    if kind == 0:
+        return PassesThrough(_scalars(rng, mode, 2), _sign(rng))
+    if kind == 1:
+        return HasKindCentre(_scalars(rng, mode, 2), _sign(rng))
+    if kind == 2:
+        return HasFocus(_scalars(rng, mode, 2), _sign(rng))
+    if kind == 3:
+        return IsOrthogonalTo(_linear_cycle(rng, mode), FSCcContext(_sign(rng), rng.choice((1, -1))))
+    return Normalised()
+
+
+def _family_call(rng: random.Random, mode: str) -> tuple:
+    """(cycle, through, ctx, count, sigma); one time in eight the two rows are dependent."""
+    through, sigma, s = _scalars(rng, mode, 2), _sign(rng), rng.choice((1, -1))
+    if rng.random() < 1 / 8:
+        # t times the incidence row [u^2 - sigma v^2, -2u, -2v, 1] of the point, read as an
+        # orthogonality row [-m, 2l, -2 sigma_cycle n, -k] with sigma_cycle = +-1
+        (u, v), t = through, rng.choice((1, -2, Fraction(1, 3)))
+        sigma_cycle = rng.choice((SpaceSign.ELLIPTIC, SpaceSign.HYPERBOLIC))
+        cycle = CycleQuadruple(-t, -t * u, t * v * int(sigma_cycle), -t * (u * u - int(sigma) * v * v))
+    else:
+        cycle, sigma_cycle = _linear_cycle(rng, mode), _sign(rng)
+    return cycle, through, FSCcContext(sigma_cycle, s), rng.randint(1, 12), sigma
+
+
 def _text(value) -> str:
     """Canonical text of an input or a result: type names beside values, floats by ``float.hex``."""
     if isinstance(value, float):
@@ -138,6 +200,12 @@ def _text(value) -> str:
         return f"HasFocus({_text(value.point)}, {value.sigma_cycle.name})"
     if isinstance(value, PassesThrough):
         return f"PassesThrough({_text(value.point)}, {value.sigma.name})"
+    if isinstance(value, HasKindCentre):
+        return f"HasKindCentre({_text(value.point)}, {value.kind.name})"
+    if isinstance(value, IsOrthogonalTo):
+        return f"IsOrthogonalTo({_text(value.cycle)}, {_text(value.ctx)})"
+    if isinstance(value, FSCcContext):
+        return f"FSCcContext({value.sigma_cycle.name}, {value.s})"
     if isinstance(value, Normalised):
         return "Normalised()"
     if isinstance(value, DirectedInterval):
@@ -189,6 +257,23 @@ def blocks() -> list[tuple[str, list[str]]]:
                         lines.append(f"{_text([a, b, sigma, sigma_cycle])} -> {_outcome(*args)}")
                     name = f"variational_distance_oracle {mode} {sigma.name} {sigma_cycle.name}"
                     out.append((f"{name} 0-{BLOCK - 1}", lines))
+    for mode in LINEAR_MODES:
+        for index in range(BLOCKS):
+            lines = []
+            for _ in range(BLOCK):
+                system = [_constraint(rng, mode) for _ in range(rng.randint(1, 5))]
+                outcomes = f"{_outcome(pencil, system)}; {_outcome(cycle_from_constraints, system)}"
+                lines.append(f"{_text(system)} -> {outcomes}")
+            first = index * BLOCK
+            out.append((f"pencil and cycle_from_constraints {mode} {first}-{first + BLOCK - 1}", lines))
+    for mode in LINEAR_MODES:
+        for index in range(BLOCKS):
+            lines = []
+            for _ in range(BLOCK):
+                call = _family_call(rng, mode)
+                lines.append(f"{_text(call)} -> {_outcome(orthogonal_family, *call)}")
+            first = index * BLOCK
+            out.append((f"orthogonal_family {mode} {first}-{first + BLOCK - 1}", lines))
     return out
 
 
