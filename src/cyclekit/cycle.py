@@ -374,24 +374,32 @@ class Normalised(Value):
 
 Constraint = PassesThrough | HasKindCentre | HasFocus | IsOrthogonalTo | Normalised
 
+_ZERO, _ONE = Fraction(0), Fraction(1)  # every exact zero and one entry of _gauss_solve
 
-def _linear_rows(constraint: Constraint) -> list[tuple[list[Scalar], Scalar]]:
-    """Rows (coefficients on (k,l,n,m), rhs) of the linear part."""
-    if isinstance(constraint, PassesThrough):
-        u, v = constraint.point
-        return [([u * u - int(constraint.sigma) * v * v, -2 * u, -2 * v, 1], 0)]
-    if isinstance(constraint, HasKindCentre):
-        u, v = constraint.point
-        # l = u k and kind*n = -v k; for kind 0 the second row pins v k = 0.
-        return [([-u, 1, 0, 0], 0), ([v, 0, int(constraint.kind), 0], 0)]
-    if isinstance(constraint, HasFocus):
-        u, v = constraint.point
-        return [([-u, 1, 0, 0], 0)]
+
+def _linear_rows(constraint: Constraint) -> tuple[list[tuple[list[Scalar], Scalar]], Scalar]:
+    """Rows (coefficients on (k,l,n,m), rhs) of the linear part, and the scale they carry.
+
+    Exact scalars give integer rows over their numerators
+    (``numbers.clear_denominators``): the rows times d^2 for a point of
+    common denominator d, d for a centre or a focus, and the cycle's common
+    denominator for an orthogonality.  Float scalars give the rows over the
+    scalars as given, at scale 1.0.
+    """
+    if isinstance(constraint, (PassesThrough, HasKindCentre, HasFocus)):
+        ((u, v),), (d,) = clear_denominators(constraint.point)
+        if isinstance(constraint, PassesThrough):
+            row = [u * u - int(constraint.sigma) * v * v, -2 * u * d, -2 * v * d, d * d]
+            return [(row, 0)], d * d
+        if isinstance(constraint, HasKindCentre):
+            # l = u k and kind*n = -v k; for kind 0 the second row pins v k = 0.
+            return [([-u, d, 0, 0], 0), ([v, 0, int(constraint.kind) * d, 0], 0)], d
+        return [([-u, d, 0, 0], 0)], d
     if isinstance(constraint, IsOrthogonalTo):
-        k2, l2, n2, m2 = constraint.cycle.components()
-        return [([-m2, 2 * l2, -2 * int(constraint.ctx.sigma_cycle) * n2, -k2], 0)]
+        ((k, l, n, m),), (d,) = clear_denominators(constraint.cycle.components())
+        return [([-m, 2 * l, -2 * int(constraint.ctx.sigma_cycle) * n, -k], 0)], d
     if isinstance(constraint, Normalised):
-        return [([1, 0, 0, 0], 1)]
+        return [([1, 0, 0, 0], 1)], 1
     raise TypeError(f"unknown constraint {constraint!r}")
 
 
@@ -406,25 +414,27 @@ def _gauss_solve(rows, rhs, exact: bool):
     """Gauss-Jordan elimination of the augmented rows, over the integers or over float.
 
     Exact rows are cleared to integers (``numbers.clear_denominators``, one
-    denominator per row); scaling a row leaves the reduced row-echelon form
-    alone.  Each step replaces every other row by pivot * row - entry *
-    pivot_row and divides it by the gcd of its entries, so the rows stay
-    small integers and no pivot row is divided.  The reduced form is
-    unique, so each output entry, built once as ``Fraction(entry, pivot)``,
-    is the Fraction that elimination over Fraction gives, whatever the
-    pivot rows.  Float rows are divided by their pivot, which leaves a
-    pivot of 1.0, and the first pivot above a threshold scaled to the
-    largest entry is taken.  Returns (particular solution, nullspace basis),
-    every component a Fraction or every one a float, or None when the
-    system is inconsistent.
+    denominator per row; ``pencil``'s are integers already), and scaling a
+    row leaves the reduced row-echelon form alone.  Each step replaces
+    every other row by pivot * row - entry * pivot_row and divides it by
+    the gcd of its entries, so the rows stay small integers and no pivot
+    row is divided.  The reduced form is unique, so each nonzero output
+    entry, built once as ``Fraction(entry, pivot)``, is the Fraction that
+    elimination over Fraction gives, whatever the pivot rows; zero and one
+    entries are the shared ``Fraction(0)`` and ``Fraction(1)``.  Float rows
+    are divided by their pivot, which leaves a pivot of 1.0, and the first
+    pivot above a threshold scaled to the largest entry is taken.  Returns
+    (particular solution, nullspace basis), every component a Fraction or
+    every one a float, or None when the system is inconsistent.
     """
     nvars = 4
     if exact:
         aug, _ = clear_denominators(*[[*r, b] for r, b in zip(rows, rhs)])
-        scalar, quotient, tol, scale = Fraction, Fraction, 0, 1
+        zero, one, tol, scale = _ZERO, _ONE, 0, 1
+        quotient = lambda x, piv: Fraction(x, piv) if x else _ZERO
     else:
         aug = [[float(x) for x in r] + [float(b)] for r, b in zip(rows, rhs)]
-        scalar, quotient, tol = float, truediv, 1e-12
+        zero, one, quotient, tol = 0.0, 1.0, truediv, 1e-12
         scale = max([1.0] + [abs(x) for row in aug for x in row])
     pivots: list[int] = []
     r = 0
@@ -460,13 +470,13 @@ def _gauss_solve(rows, rhs, exact: bool):
             return None
     # the reduced form: each pivot row over its pivot, which a float row holds as 1.0 already
     reduced = [(aug[i], aug[i][col] if exact else 1.0, col) for i, col in enumerate(pivots)]
-    particular = [scalar(0)] * nvars
+    particular = [zero] * nvars
     for row, piv, col in reduced:
         particular[col] = quotient(row[nvars], piv)
     basis = []
     for free in [c for c in range(nvars) if c not in pivots]:
-        vec = [scalar(0)] * nvars
-        vec[free] = scalar(1)
+        vec = [zero] * nvars
+        vec[free] = one
         for row, piv, col in reduced:
             vec[col] = quotient(-row[free], piv)
         basis.append(vec)
@@ -542,18 +552,25 @@ def _focus_roots(constraint: HasFocus, base: list[Scalar], direction: list[Scala
 def pencil(constraints: list[Constraint]) -> tuple[list[Scalar], list[list[Scalar]], bool]:
     """Linear stage of the solver: (base, basis, projective).
 
-    The rows are eliminated over the integers when every constraint scalar
-    is exact and over float otherwise; the solutions are base + span(basis).
-    When every right-hand side is 0 the system is projective and the last
-    nullspace vector is popped into the place of the particular solution.
-    Raises Inconsistent when no solution, or only the zero quadruple, exists.
+    The rows of ``_linear_rows`` are eliminated over the integers when every
+    scale is an integer, and over float otherwise, an exact constraint's
+    rows divided by their scale (``int / int`` rounds as ``float(Fraction)``
+    does).  The solutions are base + span(basis).  When every right-hand
+    side is 0 the system is projective and the last nullspace vector is
+    popped into the place of the particular solution.  Raises Inconsistent
+    when no solution, or only the zero quadruple, exists.
     """
-    rows, rhs = [], []
+    rows, rhs, scales = [], [], []
     for constraint in constraints:
-        for coeffs, b in _linear_rows(constraint):
+        pairs, scale = _linear_rows(constraint)
+        for coeffs, b in pairs:
             rows.append(coeffs)
             rhs.append(b)
-    exact = all(is_exact(*_constraint_scalars(c)) for c in constraints)
+            scales.append(scale)
+    exact = is_exact(*scales)
+    if not exact and scales.count(1) < len(scales):
+        # a float constraint's scale is 1.0, and a scaled row's right-hand side 0
+        rows = [row if s == 1 else [x / s for x in row] for row, s in zip(rows, scales)]
     solved = _gauss_solve(rows, rhs, exact)
     if solved is None:
         raise Inconsistent("linear constraints admit no solution")
@@ -579,8 +596,11 @@ def cycle_from_constraints(constraints: list[Constraint]) -> list[CycleQuadruple
     One pass then checks every candidate: k != 0 where a centre or focus
     needs it, an n that does not vanish (``_n_vanishes``) where a focus
     does, and every focus residual vanishes in the sense of
-    ``numbers.vanishes`` (exactly, or within ``REL_TOL`` in float mode).  A solution family of positive dimension raises
-    UnderDetermined; no surviving candidate raises Inconsistent.
+    ``numbers.vanishes`` (exactly, or within ``REL_TOL`` in float mode).
+    The survivors are ordered by ``normalized_key``, compared exactly in
+    exact mode, and of equal keys the later candidate is kept.  A solution
+    family of positive dimension raises UnderDetermined; no surviving
+    candidate raises Inconsistent.
     """
     base, basis, projective = pencil(constraints)
     quadratics = [c for c in constraints if isinstance(c, HasFocus)]
@@ -603,13 +623,6 @@ def cycle_from_constraints(constraints: list[Constraint]) -> list[CycleQuadruple
     ]
     if not solutions:
         raise Inconsistent("no candidate survives constraint verification")
-    keyed = {tuple(float(x) for x in normalized_key(sol)): sol for sol in solutions}
-    return [keyed[key] for key in sorted(keyed)]
-
-
-def _constraint_scalars(constraint: Constraint) -> tuple:
-    if isinstance(constraint, (PassesThrough, HasKindCentre, HasFocus)):
-        return tuple(constraint.point)
-    if isinstance(constraint, IsOrthogonalTo):
-        return constraint.cycle.components()
-    return ()
+    # the stable sort leaves the later of equal keys last, and the last of a run stays
+    keyed = sorted([(normalized_key(sol), sol) for sol in solutions], key=lambda pair: pair[0])
+    return [sol for i, (key, sol) in enumerate(keyed, 1) if i == len(keyed) or keyed[i][0] != key]

@@ -165,7 +165,7 @@ def length(interval: DirectedInterval, kind: LengthKind) -> list[Scalar]:
     )
     ctx = cycle.FSCcContext(kind.sigma_cycle, 1)
     values = [cycle.radius_sq(c, ctx) for c in cycles]
-    return sorted(values, key=float)
+    return sorted(values)
 
 
 def is_perpendicular(

@@ -14,13 +14,18 @@ and ``from_numerators`` decide the mode of the polynomials of
 ``cycle.similarity_transform``, ``cycle.det_invariant`` and
 ``moebius.compose``, written once, over the integer numerators of exact
 operands (one common denominator per group, one ``Fraction`` per output)
-or over the float operands as given; ``moebius.orbit_uv`` clears the
-numerators of an exact point and of exact elements the same way.  These
-helpers run on every exact query, so they scan their operands in plain
-loops, which the interpreter runs faster than ``any``/``all`` over a
-generator or a ``map``, and skip the ``lcm`` of a group whose
-denominators are all 1.  The exact branch of ``cycle._gauss_solve``
-clears each augmented row to integers and eliminates over them, and
+or over the float operands as given; ``relations.is_orthogonal`` and
+``relations.is_s_orthogonal`` test the numerator alone, and
+``moebius.orbit_uv`` clears the numerators of an exact point and of exact
+elements the same way.  These helpers run on every exact query, so they
+scan their operands in plain loops, which the interpreter runs faster
+than ``any``/``all`` over a generator or a ``map``, and skip the ``lcm``
+of a group whose denominators are all 1.  ``cycle._linear_rows`` clears
+each constraint's scalars once and builds its rows over the numerators,
+so the exact branch of ``cycle._gauss_solve`` eliminates integer rows
+(clearing only rows given with ``Fraction`` entries) and builds one
+``Fraction`` per nonzero entry of the reduced form; ``cycle._focus_roots``
+reads the focus quadratic's coefficients over numerators, and
 ``GroupElement`` tests ad - bc against the squared denominator of its
 entries' numerators, building a ``Fraction`` determinant only when it is
 not 1.

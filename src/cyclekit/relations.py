@@ -31,7 +31,7 @@ from .errors import (
 )
 from .hypercomplex import SpaceSign
 from .moebius import INFINITY, PointOrInfinity
-from .numbers import Scalar, clear_denominators, div, from_numerators, vanishes
+from .numbers import Scalar, clear_denominators, div, from_numerators, is_exact, vanishes
 
 
 def heaviside(t: Scalar) -> int:
@@ -44,22 +44,30 @@ def pairing(c1: CycleQuadruple, c2: CycleQuadruple, ctx: FSCcContext) -> Scalar:
 
     Expanded: 2*l1*l2 - 2*sigma_cycle*n1*n2 - m1*k2 - k1*m2, where s*s = 1.
     The self-pairing equals -2 det.  Exact quadruples are paired over
-    their integer numerators (``numbers.clear_denominators``) and the sum
-    is divided once by d1 d2; a float in either quadruple evaluates the
-    same expression on the given values.
+    their integer numerators (``_pairing_terms``) and the sum is divided
+    once by d1 d2; a float in either quadruple evaluates the same
+    expression on the given values.
     """
-    sig = int(ctx.sigma_cycle)
-    ops1, ops2 = c1.components(), c2.components()
-    ((k1, l1, n1, m1), (k2, l2, n2, m2)), (d1, d2) = clear_denominators(ops1, ops2)
-    (value,) = from_numerators(
-        [2 * l1 * l2 - 2 * sig * n1 * n2 - m1 * k2 - k1 * m2], d1 * d2, [ops1 + ops2]
-    )
+    (value,) = from_numerators(*_pairing_terms(c1, c2, ctx))
     return value
 
 
 def is_orthogonal(c1: CycleQuadruple, c2: CycleQuadruple, ctx: FSCcContext) -> bool:
-    """Vanishing pairing; exact for exact inputs, tolerance-scaled otherwise."""
-    return vanishes(pairing(c1, c2, ctx), c1.components(), c2.components())
+    """Vanishing pairing, an exact one tested as its numerator; tolerance-scaled for floats."""
+    (value,), _, _ = _pairing_terms(c1, c2, ctx)
+    return vanishes(value, c1.components(), c2.components())
+
+
+def _pairing_terms(c1: CycleQuadruple, c2: CycleQuadruple, ctx: FSCcContext):
+    """The pairing as the arguments of ``numbers.from_numerators``.
+
+    The expansion over the numerators of ``numbers.clear_denominators`` (or
+    over the floats as given), its denominator d1 d2 and its operands.
+    """
+    sig = int(ctx.sigma_cycle)
+    ops1, ops2 = c1.components(), c2.components()
+    ((k1, l1, n1, m1), (k2, l2, n2, m2)), (d1, d2) = clear_denominators(ops1, ops2)
+    return [2 * l1 * l2 - 2 * sig * n1 * n2 - m1 * k2 - k1 * m2], d1 * d2, [ops1 + ops2]
 
 
 def ghost_cycle(
@@ -223,10 +231,12 @@ def orthogonal_family(
     (``cycle.pencil``).  Member i is alpha*direction + beta*base for the
     i-th ratio alpha:beta of 1:0, 0:1, 1:1, 1:-1, then 1:s, 1:-s, s:1,
     -s:1 for s = 2, 3, ...; no two ratios give the same projective
-    class.  ``sigma`` fixes the point space in which the incidence is
-    read (the construction draws in the elliptic plane by default).
-    Raises ValueError for ``count`` < 1 and Inconsistent when the
-    conditions do not leave a projective line.
+    class.  In exact mode the members 1:0 and 0:1 are the pencil's own
+    vectors, the Fractions that 1*x + 0*y gives; float members are all
+    computed from their ratio.  ``sigma`` fixes the point space in which
+    the incidence is read (the construction draws in the elliptic plane
+    by default).  Raises ValueError for ``count`` < 1 and Inconsistent
+    when the conditions do not leave a projective line.
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
@@ -236,12 +246,14 @@ def orthogonal_family(
             f"expected a projective line of solutions, got dimension {len(basis)}"
         )
     direction = basis[0]
+    # the pencil's vectors are all Fractions or all floats
+    own = [CycleQuadruple(*v) for v in (direction, base)[:count]] if is_exact(base[0]) else []
     ratios = [(1, 0), (0, 1), (1, 1), (1, -1)]
     step = 2
     while len(ratios) < count:
         ratios.extend([(1, step), (1, -step), (step, 1), (-step, 1)])
         step += 1
-    return [
+    return own + [
         CycleQuadruple(*(alpha * x + beta * y for x, y in zip(direction, base)))
-        for alpha, beta in ratios[:count]
+        for alpha, beta in ratios[len(own):count]
     ]

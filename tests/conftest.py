@@ -32,6 +32,15 @@ def pytest_configure(config):
     if not config.getoption("hypothesis_profile", None):
         settings.load_profile("cyclekit")
 
+
+def at_least(count: int) -> settings:
+    """``count`` examples, or the loaded profile's count where it is larger (the deep profile).
+
+    A test module calls it at import, after ``pytest_configure`` has loaded the profile.
+    """
+    return settings(max_examples=max(count, settings.default.max_examples))
+
+
 ALL_SIGNS = (SpaceSign.ELLIPTIC, SpaceSign.PARABOLIC, SpaceSign.HYPERBOLIC)
 
 

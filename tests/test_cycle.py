@@ -421,3 +421,15 @@ def test_constraints_orthogonality_rows():
         for sol in sols:
             assert pairing(sol, fixed, CTX_E) == 0
             assert cycle_eval(sol, Point(*b), E) == 0
+
+
+@pytest.mark.parametrize("eps", [Fraction(1, 10**3), Fraction(1, 10**20)])
+def test_exact_solutions_apart_by_less_than_a_float_step_stay_apart(eps):
+    # the focus (0, 1) and the point (0, (1 - eps^2)/2) leave the two cycles
+    # n = -(1 -+ eps)^2 / 2, whose keys round to the same floats at eps = 1e-20
+    through = (0, (1 - eps * eps) / 2)
+    sols = cycle_from_constraints([HasFocus((0, 1), E), PassesThrough(through, E), Normalised()])
+    assert [s.n for s in sols] == [-((1 + eps) ** 2) / 2, -((1 - eps) ** 2) / 2]
+    values = length(DirectedInterval((0, 1), through), FromFocus(E, E))
+    assert values == [(1 - eps) ** 2, (1 + eps) ** 2]
+    assert [type(x) for x in values] == [Fraction, Fraction]

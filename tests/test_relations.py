@@ -42,6 +42,7 @@ from cyclekit import (
     subgroup_element,
     zero_radius_cycle,
 )
+from cyclekit import relations
 from cyclekit.cycle import normalized_key
 from cyclekit.moebius import orbit_uv
 from cyclekit.numbers import div, is_exact, vanishes
@@ -346,6 +347,17 @@ def test_orthogonal_family_distinct_classes():
     fam = orthogonal_family(UNIT_CIRCLE, (0, 2), CTX_E, 5)
     keys = {tuple(map(float, normalized_key(c))) for c in fam}
     assert len(keys) == 5
+
+
+def test_exact_orthogonality_is_decided_from_the_numerator(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("is_orthogonal built the pairing's value")
+
+    monkeypatch.setattr(relations, "from_numerators", refuse)
+    half = Fraction(1, 2)
+    assert is_orthogonal(UNIT_CIRCLE, zero_radius_cycle((1, 0), CTX_E), CTX_E)
+    assert not is_orthogonal(CycleQuadruple(1, half, 0, -1), CycleQuadruple(1, 0, half, 0), CTX_E)
+    assert is_orthogonal(CycleQuadruple(1.0, 0.0, 0.0, -1.0), CycleQuadruple(1.0, 1.0, 0.0, 1.0), CTX_E)
 
 
 @pytest.mark.parametrize("count", [0, -3])

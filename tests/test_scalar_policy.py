@@ -14,15 +14,18 @@ kept float cycles that exact mode rejects.
 
 The linear stage alone, ``cycle._gauss_solve``, is checked against the
 copy's elimination too: exact systems, eliminated over the integers now,
-must give the same Fractions, and float systems the same bits.
+must give the same Fractions, and float systems the same bits.  So is
+``cycle.pencil``, whose rows are built over integer numerators now,
+against the copy's rows on exact, float and mixed systems.
 """
 
 import math
 from fractions import Fraction
 
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from conftest import at_least
 from cyclekit import (
     CycleQuadruple,
     FSCcContext,
@@ -40,10 +43,10 @@ from cyclekit import (
     pairing,
     subgroup_element,
 )
-from cyclekit.cycle import _gauss_solve, normalized_key
+from cyclekit.cycle import _gauss_solve, normalized_key, pencil
 from cyclekit.numbers import REL_TOL, clear_denominators, div, from_numerators, is_exact, vanishes
 
-EXAMPLES = settings(max_examples=300)
+EXAMPLES = at_least(300)
 SIGNS = st.sampled_from(list(SpaceSign))
 CONTEXTS = st.builds(FSCcContext, SIGNS, st.sampled_from([1, -1]))
 EXACT = st.one_of(
@@ -446,6 +449,72 @@ def test_float_elimination_keeps_the_replaced_bits(system, jitter):
     rows = [[float(x) + jitter * (i == j) for j, x in enumerate(row)] for i, row in enumerate(rows)]
     rhs = [float(b) for b in rhs]
     assert float_bits(_gauss_solve(rows, rhs, False)) == float_bits(ref_gauss_solve(rows, rhs, False))
+
+
+@st.composite
+def mixed_systems(draw):
+    """1 to 5 constraints of the five types, each one's scalars exact, float or mixed."""
+    def scalars(count):
+        scalar = draw(st.sampled_from([EXACT, FLOAT, st.one_of(EXACT, FLOAT)]))
+        return tuple(draw(scalar) for _ in range(count))
+
+    def constraint():
+        kind = draw(st.integers(0, 4))
+        if kind == 4:
+            return Normalised()
+        if kind == 3:
+            comps = scalars(4)
+            return IsOrthogonalTo(CycleQuadruple(*comps) if any(comps) else CycleQuadruple(1, 0, 0, 0),
+                                  draw(CONTEXTS))
+        return (PassesThrough, HasKindCentre, HasFocus)[kind](scalars(2), draw(SIGNS))
+
+    return [constraint() for _ in range(draw(st.integers(1, 5)))]
+
+
+def ref_pencil(constraints):
+    """The replaced linear stage: Fraction rows, the float of each entry in a float system."""
+    exact = all(is_exact(*ref_scalars(c)) for c in constraints)
+    rows, rhs = [], []
+    for constraint in constraints:
+        for coeffs, b in ref_linear_rows(constraint):
+            rows.append(coeffs if exact else [float(x) for x in coeffs])
+            rhs.append(b if exact else float(b))
+    solved = ref_gauss_solve(rows, rhs, exact)
+    if solved is None:
+        raise Inconsistent("linear")
+    base, basis = solved
+    projective = all(b == 0 for b in rhs)
+    if projective:
+        if not basis:
+            raise Inconsistent("zero quadruple")
+        base = basis.pop()
+    return base, basis, projective
+
+
+def bits(solved):
+    """Each component's type and value, a float's by ``float.hex`` (so signed zeros count)."""
+    base, basis, projective = solved
+    return [[(type(x), x.hex() if isinstance(x, float) else x) for x in vec] for vec in [base, *basis]], projective
+
+
+@given(mixed_systems())
+# an exact point, centre or orthogonality (denominators 6, 3 and 12) in a float system, and an
+# exact centre whose rows carry the scale 6
+@example([PassesThrough((Fraction(1, 2), Fraction(-1, 3)), SpaceSign.HYPERBOLIC),
+          HasFocus((0.5, -0.0), SpaceSign.ELLIPTIC), Normalised()])
+@example([HasKindCentre((Fraction(2, 3), Fraction(1, 3)), SpaceSign.HYPERBOLIC),
+          PassesThrough((0.5, -0.0), SpaceSign.ELLIPTIC)])
+@example([IsOrthogonalTo(CycleQuadruple(Fraction(1, 4), Fraction(1, 3), 1, 0), FSCcContext(SpaceSign.ELLIPTIC, 1)),
+          PassesThrough((0.5, -0.0), SpaceSign.ELLIPTIC), Normalised()])
+@example([HasKindCentre((Fraction(1, 2), Fraction(1, 3)), SpaceSign.HYPERBOLIC),
+          PassesThrough((1, Fraction(2, 5)), SpaceSign.ELLIPTIC)])
+def test_pencil_matches_the_replaced_rows(constraints):
+    want = outcome(ref_pencil, constraints)
+    got = outcome(pencil, constraints)
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert bits(got) == bits(want)
 
 
 # ---------------------------------------------------------------------------
