@@ -10,7 +10,15 @@ point pairs in each of the nine (sigma, sigma_cycle) regimes, then
 systems of all five constraint types, and ``orthogonal_family`` with
 counts 1 to 12 on exact, float and mixed cycles and points.  The last
 two draw edge scalars too: +-0.0, ``bool`` and an ``IntEnum``
-(``SpaceSign``).  Inputs are drawn from ``random.Random(SEED)``, in that order,
+(``SpaceSign``).  The group blocks follow: ``GroupElement`` on matrices of
+determinant one, on multiples of them (normalised, or refused as a
+non-square), on arbitrary and on edge entries (overflow, underflow, inf,
+nan, non-scalars); ``compose`` and ``invert`` on exact, float and mixed
+pairs of elements; ``subgroup_element`` A, N and K on ``int``,
+``Fraction``, float, ``bool``, ``IntEnum`` and non-scalar parameters.
+Last come ``similarity_transform``, ``reflect_cycle``, ``s_ghost`` and
+``length`` from a centre on exact, float and mixed scalars with the same
+edge scalars.  Inputs are drawn from ``random.Random(SEED)``, in that order,
 so blocks appended at the end leave the earlier ones unchanged.
 Each input and its outcome are written as a canonical text: every value
 with its type name, floats by ``float.hex``, an error by its class and
@@ -29,9 +37,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 import sys
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -39,17 +49,25 @@ from cyclekit import (
     CycleQuadruple,
     DirectedInterval,
     ExperimentalRegimeWarning,
+    FromCentre,
     FromFocus,
     FSCcContext,
+    GroupElement,
     HasFocus,
     HasKindCentre,
     IsOrthogonalTo,
     Normalised,
     PassesThrough,
     SpaceSign,
+    compose,
     cycle_from_constraints,
+    invert,
     length,
     orthogonal_family,
+    reflect_cycle,
+    s_ghost,
+    similarity_transform,
+    subgroup_element,
     variational_distance_oracle,
 )
 from cyclekit.cycle import pencil
@@ -62,6 +80,9 @@ SHAPES = ("normalised", "projective", "two-foci")
 LINEAR_MODES = ("exact", "float", "mixed")
 # exact edge scalars (a bool and an IntEnum are ints) and float ones (the signed zeros)
 EDGES = {"exact": (True, False, *SpaceSign), "float": (0.0, -0.0)}
+# float entries past the ends of the range, and values that are no scalar at all
+FLOAT_EXTREMES = (1e300, -1e300, 1e-300, 5e-324, math.inf, -math.inf, math.nan)
+NON_SCALARS = (Decimal("1.5"), "1/2", None)
 
 
 def _exact(rng: random.Random) -> int | Fraction:
@@ -186,6 +207,68 @@ def _family_call(rng: random.Random, mode: str) -> tuple:
     return cycle, through, FSCcContext(sigma_cycle, s), rng.randint(1, 12), sigma
 
 
+def _det_one(rng: random.Random, mode: str) -> tuple:
+    """Exact entries (a, b, c, (1 + bc)/a) of determinant one, cast to float in float mode."""
+    while True:
+        a = _linear_scalar(rng, "exact")
+        if a:
+            break
+    b, c = _linear_scalar(rng, "exact"), _linear_scalar(rng, "exact")
+    entries = (a, b, c, (1 + b * c) / Fraction(a))
+    return tuple(float(x) for x in entries) if mode == "float" else entries
+
+
+def _matrix(rng: random.Random, mode: str) -> tuple:
+    """Four entries: determinant one, a multiple of it, arbitrary, or with an extreme entry."""
+    entries = _det_one(rng, mode)
+    shape = rng.randrange(6)
+    if shape == 1:  # determinant factor^2: normalised
+        factor = _linear_scalar(rng, mode) or 2
+        return tuple(factor * x for x in entries)
+    if shape == 2:  # an exact determinant that is no rational square
+        return tuple(x * 2 for x in entries[:2]) + entries[2:]
+    if shape == 3:
+        return _scalars(rng, mode, 4)
+    if shape == 4:
+        scale = rng.choice((1e200, 1e-200, 1e160, -1e160)) if mode == "float" else rng.choice((10**40, Fraction(1, 10**40)))
+        return tuple(scale * x for x in entries)
+    if shape == 5:
+        index, pool = rng.randrange(4), FLOAT_EXTREMES + NON_SCALARS
+        return entries[:index] + (rng.choice(pool),) + entries[index + 1:]
+    return entries
+
+
+def _element(rng: random.Random, mode: str) -> GroupElement:
+    """A group element built from entries of ``mode``; a mixed one picks exact or float."""
+    if mode == "mixed":
+        mode = rng.choice(("exact", "float"))
+    while True:
+        try:
+            return GroupElement(*_matrix(rng, mode))
+        except Exception:
+            continue
+
+
+def _subgroup_parameter(rng: random.Random, mode: str):
+    if mode == "edge":
+        return rng.choice((True, False, *SpaceSign, 0.0, -0.0, *FLOAT_EXTREMES, *NON_SCALARS, 1e154, -3e200))
+    return _linear_scalar(rng, mode)
+
+
+def _transform_call(rng: random.Random, mode: str) -> tuple:
+    """(function, arguments) of one cycle-space transform or centre length in ``mode``."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return similarity_transform, (_linear_cycle(rng, mode), _element(rng, mode))
+    if kind == 1:
+        ctx = FSCcContext(_sign(rng), rng.choice((1, -1)))
+        return reflect_cycle, (_linear_cycle(rng, mode), _linear_cycle(rng, mode), ctx)
+    if kind == 2:
+        return s_ghost, (_linear_cycle(rng, mode), _sign(rng), _sign(rng))
+    interval = DirectedInterval(_scalars(rng, mode, 2), _scalars(rng, mode, 2))
+    return length, (interval, FromCentre(_sign(rng), _sign(rng)))
+
+
 def _text(value) -> str:
     """Canonical text of an input or a result: type names beside values, floats by ``float.hex``."""
     if isinstance(value, float):
@@ -196,6 +279,8 @@ def _text(value) -> str:
         return value.name
     if isinstance(value, CycleQuadruple):
         return f"CycleQuadruple{_text(value.components())}"
+    if isinstance(value, GroupElement):
+        return f"GroupElement{_text(value.entries())}"
     if isinstance(value, HasFocus):
         return f"HasFocus({_text(value.point)}, {value.sigma_cycle.name})"
     if isinstance(value, PassesThrough):
@@ -212,6 +297,10 @@ def _text(value) -> str:
         return f"DirectedInterval({_text(value.a)}, {_text(value.b)})"
     if isinstance(value, FromFocus):
         return f"FromFocus({value.sigma.name}, {value.sigma_cycle.name})"
+    if isinstance(value, FromCentre):
+        return f"FromCentre({value.sigma.name}, {value.sigma_cycle.name})"
+    if callable(value):
+        return value.__name__
     return f"{type(value).__name__}:{value}"
 
 
@@ -274,6 +363,37 @@ def blocks() -> list[tuple[str, list[str]]]:
                 lines.append(f"{_text(call)} -> {_outcome(orthogonal_family, *call)}")
             first = index * BLOCK
             out.append((f"orthogonal_family {mode} {first}-{first + BLOCK - 1}", lines))
+    for mode in ("exact", "float"):
+        for index in range(BLOCKS):
+            lines = []
+            for _ in range(BLOCK):
+                entries = _matrix(rng, mode)
+                lines.append(f"{_text(entries)} -> {_outcome(GroupElement, *entries)}")
+            first = index * BLOCK
+            out.append((f"GroupElement {mode} {first}-{first + BLOCK - 1}", lines))
+    for mode in LINEAR_MODES:
+        for index in range(BLOCKS):
+            lines = []
+            for _ in range(BLOCK):
+                g1, g2 = _element(rng, mode), _element(rng, mode)
+                outcomes = f"{_outcome(compose, g1, g2)}; {_outcome(invert, g1)}"
+                lines.append(f"{_text([g1, g2])} -> {outcomes}")
+            first = index * BLOCK
+            out.append((f"compose and invert {mode} {first}-{first + BLOCK - 1}", lines))
+    for mode in ("exact", "float", "edge"):
+        lines = []
+        for _ in range(3 * BLOCK):
+            kind, param = rng.choice("ANK"), _subgroup_parameter(rng, mode)
+            lines.append(f"{kind} {_text(param)} -> {_outcome(subgroup_element, kind, param)}")
+        out.append((f"subgroup_element {mode} 0-{3 * BLOCK - 1}", lines))
+    for mode in LINEAR_MODES:
+        for index in range(BLOCKS):
+            lines = []
+            for _ in range(BLOCK):
+                call, args = _transform_call(rng, mode)
+                lines.append(f"{_text([call, *args])} -> {_outcome(call, *args)}")
+            first = index * BLOCK
+            out.append((f"transforms and centre lengths {mode} {first}-{first + BLOCK - 1}", lines))
     return out
 
 
