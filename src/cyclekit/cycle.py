@@ -33,10 +33,12 @@ from .moebius import INFINITY, GroupElement, Point, PointOrInfinity
 from .numbers import (
     REL_TOL,
     Scalar,
+    as_fraction,
     clear_denominators,
     div,
     from_numerators,
     is_exact,
+    is_int,
     one_like,
     scalar_sqrt,
     sqrt_or_float,
@@ -162,7 +164,7 @@ def similarity_transform(
         dg * dg * dc,
         [entries[2:] + comps, entries + comps, entries[:2] + comps],
     )
-    return CycleQuadruple(k, l, div(cycle.n, 1), m)
+    return CycleQuadruple(k, l, as_fraction(cycle.n), m)
 
 
 def cycle_eval(cycle: CycleQuadruple, z: Point, sigma: SpaceSign) -> Scalar:
@@ -413,8 +415,9 @@ def _quadratic_residual(constraint: HasFocus, quad: list[Scalar]) -> Scalar:
 def _gauss_solve(rows, rhs, exact: bool):
     """Gauss-Jordan elimination of the augmented rows, over the integers or over float.
 
-    Exact rows are cleared to integers (``numbers.clear_denominators``, one
-    denominator per row; ``pencil``'s are integers already), and scaling a
+    Exact rows are taken as they are when every entry is an ``int``, as
+    ``pencil``'s are, and otherwise cleared to integers
+    (``numbers.clear_denominators``, one denominator per row); scaling a
     row leaves the reduced row-echelon form alone.  Each step replaces
     every other row by pivot * row - entry * pivot_row and divides it by
     the gcd of its entries, so the rows stay small integers and no pivot
@@ -429,7 +432,9 @@ def _gauss_solve(rows, rhs, exact: bool):
     """
     nvars = 4
     if exact:
-        aug, _ = clear_denominators(*[[*r, b] for r, b in zip(rows, rhs)])
+        aug = [[*r, b] for r, b in zip(rows, rhs)]
+        if not is_int(*[x for row in aug for x in row]):
+            aug, _ = clear_denominators(*aug)
         zero, one, tol, scale = _ZERO, _ONE, 0, 1
         quotient = lambda x, piv: Fraction(x, piv) if x else _ZERO
     else:
@@ -498,13 +503,16 @@ def _n_vanishes(k: Scalar, l: Scalar, n: Scalar, m: Scalar) -> bool:
     return n == 0 or (size > 0 and vanishes(n / size))
 
 
-def _satisfies(values: list[Scalar], constraints) -> bool:
+def _satisfies(values: list[Scalar], constraints, on_roots: bool) -> bool:
     """Re-verify the non-linear parts of every constraint on a candidate.
 
     A centre or focus needs k != 0, a focus also an n that does not
     vanish (``_n_vanishes``, so a float n of rounding size counts as
     zero), and each focus residual must vanish; this filters spurious
-    k = 0 and n = 0 hits.
+    k = 0 and n = 0 hits.  ``on_roots`` says that the candidate is
+    base + t*dir at an exact root t of every focus quadratic, where each
+    residual a t^2 + b t + c is exactly 0, so the residuals are not
+    evaluated again; the k and n tests still run.
     """
     k, l, n, m = values
     for constraint in constraints:
@@ -512,7 +520,7 @@ def _satisfies(values: list[Scalar], constraints) -> bool:
             return False
         if isinstance(constraint, HasFocus) and (
             _n_vanishes(k, l, n, m)
-            or not vanishes(_quadratic_residual(constraint, values), values, values)
+            or not (on_roots or vanishes(_quadratic_residual(constraint, values), values, values))
         ):
             return False
     return True
@@ -597,6 +605,10 @@ def cycle_from_constraints(constraints: list[Constraint]) -> list[CycleQuadruple
     needs it, an n that does not vanish (``_n_vanishes``) where a focus
     does, and every focus residual vanishes in the sense of
     ``numbers.vanishes`` (exactly, or within ``REL_TOL`` in float mode).
+    A candidate at an exact root t of every focus quadratic skips the
+    residuals, which are a t^2 + b t + c = 0 there by construction; a
+    float t, an irrational root (demoted to float) and the direction keep
+    the test.
     The survivors are ordered by ``normalized_key``, compared exactly in
     exact mode, and of equal keys the later candidate is kept.  A solution
     family of positive dimension raises UnderDetermined; no surviving
@@ -605,21 +617,27 @@ def cycle_from_constraints(constraints: list[Constraint]) -> list[CycleQuadruple
     base, basis, projective = pencil(constraints)
     quadratics = [c for c in constraints if isinstance(c, HasFocus)]
     if not basis:
-        candidates = [base]
+        candidates = [(base, False)]
     elif len(basis) == 1 and quadratics:
         direction = basis[0]
         first, *others = [_focus_roots(q, base, direction) for q in quadratics]
         ts = [t for t in first if all(any(vanishes(t - o, (t, o)) for o in r) for r in others)]
-        candidates = [[x + t * y for x, y in zip(base, direction)] for t in ts]
+        candidates = [
+            (
+                [x + t * y for x, y in zip(base, direction)],
+                is_exact(t) and all(any(is_exact(o) and o == t for o in r) for r in others),
+            )
+            for t in ts
+        ]
         if projective:
-            candidates.append(direction)
+            candidates.append((direction, False))
     else:
         kind = "projective" if projective else "affine"
         raise UnderDetermined(f"solution family has {kind} dimension {len(basis)}")
     solutions = [
         CycleQuadruple(*values)
-        for values in candidates
-        if any(values) and _satisfies(values, constraints)
+        for values, on_roots in candidates
+        if any(values) and _satisfies(values, constraints, on_roots)
     ]
     if not solutions:
         raise Inconsistent("no candidate survives constraint verification")

@@ -25,7 +25,7 @@ from .errors import (
     UnderDetermined,
 )
 from .hypercomplex import SpaceSign
-from .numbers import REL_TOL, Scalar, div, vanishes
+from .numbers import REL_TOL, Scalar, as_fraction, div, vanishes
 from .value import Value
 
 
@@ -115,7 +115,7 @@ def variational_distance_oracle(
     p = du * du - s * dv * dv
     r = (1 - s * s_cycle) * (av + bv) * (av + bv)
     if r == 0:  # P (Q - R)/Q is P, and so is the constant diameter where Q = 0
-        return div(p, 1)
+        return as_fraction(p)
     q = dv * dv - s_cycle * du * du
     if q == 0:
         raise Inconsistent("the squared diameter is linear along the pencil: no extremum")
@@ -146,8 +146,8 @@ def length(interval: DirectedInterval, kind: LengthKind) -> list[Scalar]:
                 )
             raise Inconsistent("a parabolic centre lies on the real axis, and the start does not")
         du, dv, sigma = bu - au, bv - av, int(kind.sigma)
-        # div(., 1) keeps the Fraction (or float) that the solver's radius_sq gave
-        return [div(du * du - sigma_cycle * dv * dv + (sigma_cycle - sigma) * bv * bv, 1)]
+        # as_fraction keeps the Fraction (or float) that the solver's radius_sq gave
+        return [as_fraction(du * du - sigma_cycle * dv * dv + (sigma_cycle - sigma) * bv * bv)]
     if not isinstance(kind, FromFocus):
         raise TypeError(f"unknown length kind {kind!r}")
     if interval.a[1] == 0:

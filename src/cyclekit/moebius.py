@@ -23,6 +23,8 @@ from .numbers import (
     div,
     from_numerators,
     is_exact,
+    is_int,
+    is_rational,
     one_like,
     scalar_sqrt,
     sqrt_or_float,
@@ -69,7 +71,11 @@ class GroupElement(Value):
 
     Construction accepts any matrix with positive determinant and divides
     by the positive square root; in exact mode the determinant must be a
-    perfect rational square.
+    perfect rational square.  Entries with a ``Fraction`` among them are
+    tested over their integer numerators; ``int`` and float entries test
+    ad - bc as given.  ``compose``, ``invert`` and ``subgroup_element``
+    build exact elements of determinant one by construction without this
+    test (``_det_one``); their float elements still take it.
     """
 
     __slots__ = ("a", "b", "c", "d")
@@ -83,7 +89,10 @@ class GroupElement(Value):
 
     def __post_init__(self):
         entries = self.entries()
-        ((a, b, c, d),), (den,) = clear_denominators(entries)
+        if is_exact(*entries) and not is_int(*entries):
+            ((a, b, c, d),), (den,) = clear_denominators(entries)
+        else:
+            (a, b, c, d), den = entries, 1
         num, den_sq = a * d - b * c, den * den
         if num == den_sq:
             return
@@ -126,27 +135,48 @@ class IwasawaFactors(Value):
         object.__setattr__(self, "sin_phi", sin_phi)
 
 
+def _det_one(entries, exact: bool) -> GroupElement:
+    """The element of ``entries``, whose determinant is 1 by construction.
+
+    Exact entries are stored as they are: ``GroupElement``'s test would find
+    ad - bc equal to 1 and keep them.  Float entries go through the test,
+    whose renormalisation and overflow retry their rounding needs.
+    """
+    if not exact:
+        return GroupElement(*entries)
+    a, b, c, d = entries
+    g = object.__new__(GroupElement)
+    object.__setattr__(g, "a", a)
+    object.__setattr__(g, "b", b)
+    object.__setattr__(g, "c", c)
+    object.__setattr__(g, "d", d)
+    return g
+
+
 def compose(g1: GroupElement, g2: GroupElement) -> GroupElement:
-    """The matrix product g1 g2, checked by ``GroupElement``'s determinant test.
+    """The matrix product g1 g2.
 
     Exact entries are multiplied over their integer numerators and each
     sum divided once (``numbers.clear_denominators``/``from_numerators``);
     a float in either element runs the same products on the given values.
+    A product of two determinant-one matrices has determinant one, so an
+    exact product skips ``GroupElement``'s test; a float one takes it.
     """
     e1, e2 = g1.entries(), g2.entries()
     ((a1, b1, c1, d1), (a2, b2, c2, d2)), (den1, den2) = clear_denominators(e1, e2)
     columns = (e2[::2], e2[1::2])
-    return GroupElement(
-        *from_numerators(
-            [a1 * a2 + b1 * c2, a1 * b2 + b1 * d2, c1 * a2 + d1 * c2, c1 * b2 + d1 * d2],
-            den1 * den2,
-            [row + column for row in (e1[:2], e1[2:]) for column in columns],
-        )
+    entries = from_numerators(
+        [a1 * a2 + b1 * c2, a1 * b2 + b1 * d2, c1 * a2 + d1 * c2, c1 * b2 + d1 * d2],
+        den1 * den2,
+        [row + column for row in (e1[:2], e1[2:]) for column in columns],
     )
+    return _det_one(entries, is_exact(den1))
 
 
 def invert(g: GroupElement) -> GroupElement:
-    return GroupElement(g.d, -g.b, -g.c, g.a)
+    """The inverse (d, -b, -c, a), of g's determinant one; exact mode skips the test."""
+    entries = (g.d, -g.b, -g.c, g.a)
+    return _det_one(entries, is_exact(*entries))
 
 
 def mobius_apply(g: GroupElement, z: PointOrInfinity, sigma: SpaceSign) -> PointOrInfinity:
@@ -209,19 +239,25 @@ def subgroup_element(kind: str, param: Scalar) -> GroupElement:
     tangent-half-angle point (cos, sin) = ((1-t^2)/(1+t^2), 2t/(1+t^2)),
     so rotations stay rational in exact mode: with t = p/q they are the
     ``Fraction``s (q^2-p^2)/(q^2+p^2) and 2pq/(q^2+p^2) of the numerators.
+    Each has determinant one by construction, so an ``int`` or ``Fraction``
+    parameter skips ``GroupElement``'s test (``_det_one``); a float one,
+    whose rounding the test renormalises, and any other value, which it
+    refuses, take it.
     """
     if kind == "A":
         if param <= 0:
             raise ValueError("dilation parameter must be positive")
-        return GroupElement(param, zero_like(param), zero_like(param), div(1, param))
+        entries = (param, zero_like(param), zero_like(param), div(1, param))
+        return _det_one(entries, is_rational(param))
     if kind == "N":
-        return GroupElement(one_like(param), param, zero_like(param), one_like(param))
+        entries = (one_like(param), param, zero_like(param), one_like(param))
+        return _det_one(entries, is_rational(param))
     if kind == "K":
         if is_exact(param):
             p, q = param.numerator, param.denominator
             norm = q * q + p * p
             cos, sin = Fraction(q * q - p * p, norm), Fraction(2 * p * q, norm)
-            return GroupElement(cos, sin, -sin, cos)
+            return _det_one((cos, sin, -sin, cos), True)
         denom = 1 + param * param
         if denom == math.inf:
             # beyond |t| ~ 1.3e154 t^2 overflows: the same quotients, over 1/t^2

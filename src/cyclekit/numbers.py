@@ -27,8 +27,14 @@ so the exact branch of ``cycle._gauss_solve`` eliminates integer rows
 ``Fraction`` per nonzero entry of the reduced form; ``cycle._focus_roots``
 reads the focus quadratic's coefficients over numerators, and
 ``GroupElement`` tests ad - bc against the squared denominator of its
-entries' numerators, building a ``Fraction`` determinant only when it is
-not 1.
+entries' numerators when a ``Fraction`` is among them, and as given when
+every entry is an ``int`` (``is_int``) or one is a float, building a
+``Fraction`` determinant only when it is not 1.  Exact products, inverses
+and subgroup elements of ``is_rational`` parameters have determinant 1
+by construction and skip that test.  ``as_fraction`` is ``div(x, 1)``
+without the division: the exact quotient that ``similarity_transform``,
+``reflect_cycle``, ``s_ghost``, centre lengths and the variational
+distance return for a component they pass through.
 """
 
 from __future__ import annotations
@@ -52,6 +58,22 @@ def is_exact(*values: Scalar) -> bool:
     """True when none of the scalars is a float."""
     for v in values:
         if isinstance(v, float):
+            return False
+    return True
+
+
+def is_int(*values: Scalar) -> bool:
+    """True when every scalar is an ``int`` (a ``bool`` or an ``IntEnum`` too): nothing to clear."""
+    for v in values:
+        if not isinstance(v, int):
+            return False
+    return True
+
+
+def is_rational(*values) -> bool:
+    """True when every value is an ``int`` or a ``Fraction``: exact, and a scalar."""
+    for v in values:
+        if not isinstance(v, (int, Fraction)):
             return False
     return True
 
@@ -130,6 +152,18 @@ def zero_like(value: Scalar) -> Scalar:
 
 def one_like(value: Scalar) -> Scalar:
     return 1.0 if isinstance(value, float) else 1
+
+
+def as_fraction(value: Scalar) -> Fraction | float:
+    """What ``div(value, 1)`` returns, without the division.
+
+    A ``Fraction`` or a float is returned as it is, anything else as
+    ``Fraction(value)``: an ``int``, a ``bool`` or an ``IntEnum`` becomes the
+    ``Fraction`` an exact quotient would have been.
+    """
+    if type(value) is Fraction or isinstance(value, float):
+        return value
+    return Fraction(value)
 
 
 def div(a: Scalar, b: Scalar) -> Scalar:

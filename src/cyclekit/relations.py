@@ -31,7 +31,7 @@ from .errors import (
 )
 from .hypercomplex import SpaceSign
 from .moebius import INFINITY, PointOrInfinity
-from .numbers import Scalar, clear_denominators, div, from_numerators, is_exact, vanishes
+from .numbers import Scalar, as_fraction, clear_denominators, from_numerators, is_exact, vanishes
 
 
 def heaviside(t: Scalar) -> int:
@@ -138,7 +138,7 @@ def reflect_cycle(
     k, l, x, m = from_numerators(*_sandwich(mirror, inner, ctx.sigma_cycle))
     if k == 0 and l == 0 and m == 0 and x == 0:
         raise DegenerateReflection("reflection collapsed to the zero quadruple")
-    return CycleQuadruple(k, l, div(x, 1), m)
+    return CycleQuadruple(k, l, as_fraction(x), m)
 
 
 def invert_point(
@@ -215,7 +215,7 @@ def s_ghost(
     k, l, x, m = from_numerators(*_sandwich(cycle, REAL_LINE, sigma_cycle))
     if k == 0 and l == 0 and m == 0 and x == 0:
         raise DegenerateReflection("s-ghost collapsed to the zero quadruple")
-    return CycleQuadruple(k, l, div(heaviside(int(sigma)) * x, 1), m)
+    return CycleQuadruple(k, l, as_fraction(heaviside(int(sigma)) * x), m)
 
 
 def orthogonal_family(

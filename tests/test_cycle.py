@@ -2,9 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import (
     ALL_SIGNS,
+    at_least,
     rand_cycle,
     rand_fraction,
     rand_group_exact,
@@ -433,3 +436,55 @@ def test_exact_solutions_apart_by_less_than_a_float_step_stay_apart(eps):
     values = length(DirectedInterval((0, 1), through), FromFocus(E, E))
     assert values == [(1 - eps) ** 2, (1 + eps) ** 2]
     assert [type(x) for x in values] == [Fraction, Fraction]
+
+
+FOCUS_SCALARS = st.one_of(st.integers(-4, 4), st.fractions(-4, 4, max_denominator=5))
+FOCUS_POINTS = st.tuples(FOCUS_SCALARS, FOCUS_SCALARS)
+FOCUS_SIGNS = st.sampled_from(ALL_SIGNS)
+
+
+@st.composite
+def exact_focus_systems(draw):
+    """Exact systems whose candidates lie on a line of the pencil: a focus and a point, a
+    focus and two points, two foci on one vertical, or two foci of one cycle (1, l, n, m)."""
+    shape = draw(st.sampled_from(["point", "two-points", "vertical", "one-cycle"]))
+    if shape == "one-cycle":
+        l, n, m = draw(FOCUS_SCALARS), draw(FOCUS_SCALARS.filter(bool)), draw(FOCUS_SCALARS)
+        system = [
+            HasFocus((l, Fraction(int(sign) * n * n - l * l + m) / (2 * n)), sign)
+            for sign in (draw(FOCUS_SIGNS), draw(FOCUS_SIGNS))
+        ]
+    else:
+        system = [HasFocus(draw(FOCUS_POINTS), draw(FOCUS_SIGNS))]
+        if shape == "vertical":
+            system.append(HasFocus((system[0].point[0], draw(FOCUS_SCALARS)), draw(FOCUS_SIGNS)))
+        elif shape == "two-points":
+            system.append(PassesThrough(draw(FOCUS_POINTS), draw(FOCUS_SIGNS)))
+    system.append(PassesThrough(draw(FOCUS_POINTS), draw(FOCUS_SIGNS)))
+    if draw(st.booleans()):
+        system.append(Normalised())
+    return system
+
+
+@at_least(300)
+@given(exact_focus_systems())
+# n = 1 is the exact root of the parabolic focus; the elliptic one has the irrational
+# root 1 + 2e-15 + ..., so the roots agree within the tolerance and only its residual,
+# -2e-15, rejects the candidate (Inconsistent)
+@example([HasFocus((0, 0), SpaceSign.PARABOLIC),
+          HasFocus((0, Fraction(-1, 2) + Fraction(1, 10**15)), SpaceSign.ELLIPTIC),
+          PassesThrough((1, 1), SpaceSign.ELLIPTIC), Normalised()])
+def test_exact_focus_solutions_satisfy_every_focus_condition(system):
+    """The solver skips the residual at exact common roots; the public components show it holds."""
+    try:
+        solutions = cycle_from_constraints(system)
+    except (Inconsistent, UnderDetermined):
+        return
+    for quad in solutions:
+        k, l, n, m = quad.components()
+        if not all(type(x) in (int, Fraction) for x in (k, l, n, m)):
+            continue  # an irrational root, demoted to float
+        for constraint in system:
+            if isinstance(constraint, HasFocus):
+                v, sigma_cycle = constraint.point[1], int(constraint.sigma_cycle)
+                assert sigma_cycle * n * n - l * l + m * k - 2 * v * n * k == 0

@@ -3,10 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conftest import ALL_SIGNS, rand_fraction, rand_group_exact, rand_group_float, rand_point_exact
+from conftest import ALL_SIGNS, at_least, rand_fraction, rand_group_exact, rand_group_float, rand_point_exact
 from cyclekit import (
     CycleQuadruple,
     ExactModeError,
@@ -430,3 +430,42 @@ def test_rotation_grid_is_one_cached_tuple_equal_to_a_fresh_build():
     grid = _rotation_grid()
     assert type(grid) is tuple and grid is _rotation_grid()
     assert grid == tuple(subgroup_element("K", t) for t in _orbit_parameters())
+
+
+# int, Fraction, bool and IntEnum scalars: exact, and kept as they are by GroupElement
+EXACT_ENTRIES = st.one_of(st.integers(-6, 6), EXACT, st.booleans(), SIGNS)
+
+
+@st.composite
+def checked_exact_elements(draw):
+    """Exact elements through ``GroupElement``'s test: (a, b, c, (1 + bc)/a), maybe scaled."""
+    a = draw(EXACT_ENTRIES.filter(bool))
+    b, c = draw(EXACT_ENTRIES), draw(EXACT_ENTRIES)
+    d = (1 + b * c) * a if a in (1, -1) else Fraction(1 + b * c) / a
+    factor = draw(st.sampled_from([1, -2, Fraction(1, 3)]))
+    entries = (a, b, c, d) if factor == 1 else tuple(factor * x for x in (a, b, c, d))
+    return GroupElement(*entries)
+
+
+def assert_checked(g):
+    """``g`` is the element that ``GroupElement``'s test builds from its entries, of ad - bc == 1."""
+    rebuilt = GroupElement(*g.entries())
+    assert [(type(x), x) for x in g.entries()] == [(type(x), x) for x in rebuilt.entries()]
+    assert g.a * g.d - g.b * g.c == 1
+
+
+EXACT_GROUP = checked_exact_elements() | exact_elements()
+
+
+@at_least(300)
+@given(EXACT_GROUP, EXACT_GROUP)
+def test_exact_products_and_inverses_are_the_checked_elements(g1, g2):
+    assert_checked(compose(g1, g2))
+    assert_checked(invert(g1))
+
+
+@at_least(300)
+@given(st.sampled_from("ANK"), EXACT_ENTRIES)
+def test_exact_subgroup_elements_are_the_checked_elements(kind, param):
+    assume(kind != "A" or param > 0)
+    assert_checked(subgroup_element(kind, param))

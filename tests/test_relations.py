@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import ALL_SIGNS, rand_cycle, rand_fraction, rand_group_exact, rand_real_circle
+from conftest import ALL_SIGNS, at_least, rand_cycle, rand_fraction, rand_group_exact, rand_real_circle
 from test_moebius import per_point_apply
 from test_scalar_policy import ref_gauss_solve
 from cyclekit import (
@@ -368,7 +368,7 @@ def test_orthogonal_family_rejects_a_count_below_one(count):
 
 # ---------------------------------------------------------------------------
 # The replaced sampler, kept as the reference: its own rows, a parameter
-# grid with repeated classes, and a float-key dedupe.
+# grid with repeated classes, and a dedupe by exact keys.
 
 
 def ref_orthogonal_family(cycle, through, ctx, count, sigma):
@@ -401,7 +401,8 @@ def ref_orthogonal_family(cycle, through, ctx, count, sigma):
         if all(val == 0 for val in values):
             continue
         candidate = CycleQuadruple(*values)
-        key = tuple(float(x) for x in normalized_key(candidate))
+        # classes keyed exactly, over the Fractions of float components
+        key = normalized_key(CycleQuadruple(*(Fraction(x) for x in values)))
         if key in seen:
             continue
         seen.add(key)
@@ -445,7 +446,7 @@ def family_outcome(sampler, call):
         return type(exc)
 
 
-@settings(max_examples=300)
+@at_least(300)
 @given(family_calls())
 def test_orthogonal_family_matches_the_replaced_sampler(call):
     assert family_outcome(orthogonal_family, call) == family_outcome(ref_orthogonal_family, call)
