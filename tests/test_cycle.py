@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from conftest import (
     ALL_SIGNS,
-    at_least,
     rand_cycle,
     rand_fraction,
     rand_group_exact,
@@ -466,7 +465,6 @@ def exact_focus_systems(draw):
     return system
 
 
-@at_least(300)
 @given(exact_focus_systems())
 # n = 1 is the exact root of the parabolic focus; the elliptic one has the irrational
 # root 1 + 2e-15 + ..., so the roots agree within the tolerance and only its residual,

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conftest import ALL_SIGNS, at_least, rand_fraction, rand_group_exact, rand_group_float, rand_point_exact
+from conftest import ALL_SIGNS, rand_fraction, rand_group_exact, rand_group_float, rand_point_exact
 from cyclekit import (
     CycleQuadruple,
     ExactModeError,
@@ -457,14 +457,12 @@ def assert_checked(g):
 EXACT_GROUP = checked_exact_elements() | exact_elements()
 
 
-@at_least(300)
 @given(EXACT_GROUP, EXACT_GROUP)
 def test_exact_products_and_inverses_are_the_checked_elements(g1, g2):
     assert_checked(compose(g1, g2))
     assert_checked(invert(g1))
 
 
-@at_least(300)
 @given(st.sampled_from("ANK"), EXACT_ENTRIES)
 def test_exact_subgroup_elements_are_the_checked_elements(kind, param):
     assume(kind != "A" or param > 0)
