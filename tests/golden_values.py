@@ -16,10 +16,15 @@ non-square), on arbitrary and on edge entries (overflow, underflow, inf,
 nan, non-scalars); ``compose`` and ``invert`` on exact, float and mixed
 pairs of elements; ``subgroup_element`` A, N and K on ``int``,
 ``Fraction``, float, ``bool``, ``IntEnum`` and non-scalar parameters.
-Last come ``similarity_transform``, ``reflect_cycle``, ``s_ghost`` and
+Then come ``similarity_transform``, ``reflect_cycle``, ``s_ghost`` and
 ``length`` from a centre on exact, float and mixed scalars with the same
-edge scalars.  Inputs are drawn from ``random.Random(SEED)``, in that order,
-so blocks appended at the end leave the earlier ones unchanged.
+edge scalars.  The exact focus-branch blocks close the list: systems built
+so that the focus quadratic has a double root, a negative or a positive
+leading coefficient, a zero one, a negative discriminant or an irrational
+root, a projective line with its direction candidate, and two foci of one
+cycle, each with small scalars and with numerators beyond 2^64 over
+denominators up to 10^6.  Inputs are drawn from ``random.Random(SEED)``,
+in that order, so blocks appended at the end leave the earlier ones unchanged.
 Each input and its outcome are written as a canonical text: every value
 with its type name, floats by ``float.hex``, an error by its class and
 message.  The manifest pins these texts across commits;
@@ -269,6 +274,98 @@ def _transform_call(rng: random.Random, mode: str) -> tuple:
     return length, (interval, FromCentre(_sign(rng), _sign(rng)))
 
 
+def _large(rng: random.Random) -> int | Fraction:
+    """An integer beyond 2^64 or a ratio of such a numerator over a denominator up to 10^6."""
+    numerator = rng.choice((-1, 1)) * rng.randint(2**64, 2**72)
+    return numerator if rng.random() < 0.25 else Fraction(numerator, rng.randint(1, 10**6))
+
+
+def _nonzero(rng: random.Random, scalar) -> int | Fraction:
+    while True:
+        value = scalar(rng)
+        if value:
+            return value
+
+
+def _on_cycle(rng: random.Random, scalar, focus_sign: SpaceSign) -> tuple:
+    """(focus, point, point sign) of a cycle (1, l, n, m) with n != 0 drawn through the point."""
+    l, n, (u, v), sign = scalar(rng), _nonzero(rng, scalar), _point(rng, scalar), _sign(rng)
+    m = -(u * u - int(sign) * v * v) + 2 * l * u + 2 * n * v
+    return _focus(l, n, m, focus_sign, scalar), (u, v), sign
+
+
+def _shifted(rng: random.Random, scalar, sign: SpaceSign, focus_sign: SpaceSign, v, e, d) -> list:
+    """The system [HasFocus((u, v - e), focus_sign), PassesThrough((u + d, v), sign), Normalised()].
+
+    In the chart k = 1 its focus condition reads, in n,
+    focus_sign n^2 + 2 e n + sign v^2 - d^2 = 0.
+    """
+    u = scalar(rng)
+    return [HasFocus((u, v - e), focus_sign), PassesThrough((u + d, v), sign), Normalised()]
+
+
+def _focus_branch(rng: random.Random, scalar, branch: str) -> list:
+    """An exact focus system whose quadratic in the chart k = 1 takes ``branch``."""
+    E, P, H = SpaceSign.ELLIPTIC, SpaceSign.PARABOLIC, SpaceSign.HYPERBOLIC
+    r, flip = _nonzero(rng, scalar), rng.choice((-1, 1))
+    if branch == "double root":
+        # sign v^2 - d^2 = focus_sign n0^2 and e = -focus_sign n0 leave focus_sign (n - n0)^2
+        sign, focus_sign, v, n0, d = rng.choice(
+            ((P, E, scalar(rng), r, r), (E, E, 3 * r, 5 * r, 4 * r),
+             (H, H, 5 * r, 3 * r, 4 * r), (H, E, 3 * r, 4 * r, 5 * r))
+        )
+        return _shifted(rng, scalar, sign, focus_sign, v, -int(focus_sign) * flip * n0, d)
+    if branch in ("negative leading coefficient", "positive leading coefficient"):
+        # the pencil's direction has k = l = 0, so its leading coefficient has the focus sign
+        focus_sign = E if branch == "negative leading coefficient" else H
+        focus, through, sign = _on_cycle(rng, scalar, focus_sign)
+        return [HasFocus(focus, focus_sign), PassesThrough(through, sign), Normalised()]
+    if branch == "leading coefficient zero":
+        shape = rng.randrange(3)
+        if shape == 0:  # a root of the linear condition
+            focus, through, sign = _on_cycle(rng, scalar, P)
+            return [HasFocus(focus, P), PassesThrough(through, sign), Normalised()]
+        # b = 0, and c = 0 (every n) or c != 0 (none)
+        return _shifted(rng, scalar, P if shape == 1 else _sign(rng), P, scalar(rng), 0, 0 if shape == 1 else r)
+    if branch == "negative discriminant":
+        x, y = Fraction(rng.randint(-4, 4), 10), Fraction(rng.randint(-4, 4), 10)
+        sign, focus_sign, d = rng.choice(((H, H, x * r), (E, E, x * r), (P, E, r)))
+        return _shifted(rng, scalar, sign, focus_sign, r, y * r, d)
+    if branch == "irrational root":
+        # discriminants r^2 (p^2 + q^2), r^2 (1 + p^2) and 3 r^2, none a rational square
+        p, q = rng.choice(((1, 1), (1, 2), (2, 3), (1, 3), (2, 5)))
+        sign, focus_sign, v, e, d = rng.choice(
+            ((P, H, scalar(rng), p * r, flip * q * r), (H, E, p * r, r, 0), (E, H, r, r, flip * r))
+        )
+        return _shifted(rng, scalar, sign, focus_sign, v, e, d)
+    if branch == "projective line":
+        focus_sign = _sign(rng)
+        if rng.random() < 0.5:
+            focus, through, sign = _on_cycle(rng, scalar, focus_sign)
+        else:
+            focus, through, sign = _point(rng, scalar), _point(rng, scalar), _sign(rng)
+        return [HasFocus(focus, focus_sign), PassesThrough(through, sign)]
+    # two foci of one cycle, a point on it or anywhere, and the chart half of the time
+    l, n, (u, v), sign = scalar(rng), r, _point(rng, scalar), _sign(rng)
+    m = -(u * u - int(sign) * v * v) + 2 * l * u + 2 * n * v
+    system = [HasFocus(_focus(l, n, m, s, scalar), s) for s in (_sign(rng), _sign(rng))]
+    through = (u, v) if rng.random() < 0.5 else _point(rng, scalar)
+    system.append(PassesThrough(through, sign))
+    return system + [Normalised()] if rng.random() < 0.5 else system
+
+
+FOCUS_BRANCHES = (
+    "double root",
+    "negative leading coefficient",
+    "positive leading coefficient",
+    "leading coefficient zero",
+    "negative discriminant",
+    "irrational root",
+    "projective line",
+    "two foci",
+)
+
+
 def _text(value) -> str:
     """Canonical text of an input or a result: type names beside values, floats by ``float.hex``."""
     if isinstance(value, float):
@@ -394,6 +491,13 @@ def blocks() -> list[tuple[str, list[str]]]:
                 lines.append(f"{_text([call, *args])} -> {_outcome(call, *args)}")
             first = index * BLOCK
             out.append((f"transforms and centre lengths {mode} {first}-{first + BLOCK - 1}", lines))
+    for size, scalar in (("small", _exact), ("large", _large)):
+        for branch in FOCUS_BRANCHES:
+            lines = []
+            for _ in range(BLOCK):
+                system = _focus_branch(rng, scalar, branch)
+                lines.append(f"{_text(system)} -> {_outcome(cycle_from_constraints, system)}")
+            out.append((f"cycle_from_constraints exact {size} {branch} 0-{BLOCK - 1}", lines))
     return out
 
 
