@@ -39,6 +39,7 @@ from .numbers import (
     from_numerators,
     is_exact,
     is_int,
+    isqrt_exact,
     one_like,
     scalar_sqrt,
     sqrt_or_float,
@@ -258,6 +259,10 @@ def _quadratic_roots(a: Scalar, b: Scalar, c: Scalar) -> list[Scalar]:
     Roots are exact when the coefficients are exact and the discriminant
     is a rational square, floats otherwise (``sqrt_or_float``).  With
     a = b = 0 there is no root, or every t is one (UnderDetermined).
+    ``roots`` calls it on every cycle; the focus solver calls it on
+    ``Fraction`` coefficients only for a = 0 or a discriminant that is no
+    rational square (the rest ``_focus_roots`` solves over integers), and
+    on floats in float mode.
     """
     if a == 0:
         if b == 0:
@@ -526,27 +531,45 @@ def _satisfies(values: list[Scalar], constraints, on_roots: bool) -> bool:
     return True
 
 
-def _focus_roots(constraint: HasFocus, base: list[Scalar], direction: list[Scalar]) -> list[Scalar]:
+def _focus_roots(constraint: HasFocus, cleared) -> list[Scalar]:
     """Parameters t at which base + t*direction satisfies the focus quadratic.
 
-    The residual R(q) = sigma_cycle n^2 - l^2 + m k - 2 v n k is a quadratic
-    form, so R(base + t dir) = a t^2 + b t + c with a = R(dir), c = R(base)
-    and b = 2 P(base, dir), P the polar form of R.  Exact mode reads a, b,
-    c from the form over the integer numerators of base, dir and v
-    (``numbers.clear_denominators``), one ``Fraction`` each, which are the
-    Fractions that three residuals would give.  Float mode evaluates R at
-    base and base +- dir, since the form's coefficients taken in floats
-    agree with exact mode less often.
+    ``cleared`` is ``clear_denominators(base, direction)``, which the caller
+    computes once for all foci.  The residual R(q) = sigma_cycle n^2 -
+    l^2 + m k - 2 v n k is a quadratic form, so R(base + t dir) = a t^2 +
+    b t + c with a = R(dir), c = R(base) and b = 2 P(base, dir), P the polar
+    form of R.  Exact mode reads a, b, c from the form over the integer
+    numerators of base, dir and v; they are integers over dv dd^2, dv db dd
+    and dv db^2, so t = dd s / db turns the equation into a s^2 + b s + c = 0
+    over the same integers.  Its discriminant and perfect-square test
+    (``numbers.isqrt_exact``) stay in ``int``, and each rational root
+    t = dd (-b +- r) / (2 a db) is one ``Fraction``.  Two cases stay on
+    ``Fraction``: a zero a and a discriminant that is no square go through
+    ``_quadratic_roots`` on the three coefficients as ``Fraction``s, which
+    keeps its ``UnderDetermined`` and its demoted floats.  Float mode
+    evaluates R at base and base +- dir, since the form's coefficients
+    taken in floats agree with exact mode less often.
     """
-    v = constraint.point[1]
-    if is_exact(v, *base, *direction):
-        ((kb, lb, nb, mb), (kd, ld, nd, md), (v,)), (db, dd, dv) = clear_denominators(
-            base, direction, (v,)
-        )
+    (base, direction), (db, dd) = cleared
+    if is_exact(db):
+        (kb, lb, nb, mb), (kd, ld, nd, md) = base, direction
+        v = constraint.point[1]
+        v, dv = v.numerator, v.denominator
         s = int(constraint.sigma_cycle)
         a = dv * (s * nd * nd - ld * ld + md * kd) - 2 * v * nd * kd
         b = dv * (2 * (s * nb * nd - lb * ld) + mb * kd + md * kb) - 2 * v * (nb * kd + nd * kb)
         c = dv * (s * nb * nb - lb * lb + mb * kb) - 2 * v * nb * kb
+        if a:
+            disc = b * b - 4 * a * c
+            if disc < 0:
+                return []
+            root = isqrt_exact(disc)
+            if root is not None:
+                den = 2 * a * db
+                if not root:
+                    return [Fraction(-b * dd, den)]
+                # in no particular order: the solutions are sorted by normalized_key
+                return [Fraction((-b - root) * dd, den), Fraction((-b + root) * dd, den)]
         return _quadratic_roots(
             Fraction(a, dv * dd * dd), Fraction(b, dv * db * dd), Fraction(c, dv * db * db)
         )
@@ -598,9 +621,15 @@ def cycle_from_constraints(constraints: list[Constraint]) -> list[CycleQuadruple
     remains is one candidate, or a line base + t*direction whose
     candidates are the common roots t of the focus quadratics; a
     projective line also offers its direction, the point t = infinity.
-    Exact mode reads each quadratic's coefficients from the quadratic
-    form over integer numerators, float mode from three residuals
-    (``_focus_roots``).
+    Exact mode clears base and direction once
+    (``numbers.clear_denominators``) and shares the numerators with
+    ``_focus_roots``, which reads each quadratic's coefficients from the
+    quadratic form over them and solves it in ``int`` arithmetic, one
+    ``Fraction`` per rational root; a zero leading coefficient and a
+    discriminant that is no square stay on ``Fraction``
+    (``_quadratic_roots``), and float mode reads the coefficients from
+    three residuals.  Each candidate is the sum ``x + t*y`` over the
+    components of base and direction, in ``Fraction`` in exact mode.
     One pass then checks every candidate: k != 0 where a centre or focus
     needs it, an n that does not vanish (``_n_vanishes``) where a focus
     does, and every focus residual vanishes in the sense of
@@ -620,7 +649,8 @@ def cycle_from_constraints(constraints: list[Constraint]) -> list[CycleQuadruple
         candidates = [(base, False)]
     elif len(basis) == 1 and quadratics:
         direction = basis[0]
-        first, *others = [_focus_roots(q, base, direction) for q in quadratics]
+        cleared = clear_denominators(base, direction)
+        first, *others = [_focus_roots(q, cleared) for q in quadratics]
         ts = [t for t in first if all(any(vanishes(t - o, (t, o)) for o in r) for r in others)]
         candidates = [
             (

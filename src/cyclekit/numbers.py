@@ -24,8 +24,12 @@ of a group whose denominators are all 1.  ``cycle._linear_rows`` clears
 each constraint's scalars once and builds its rows over the numerators,
 so the exact branch of ``cycle._gauss_solve`` eliminates integer rows
 (clearing only rows given with ``Fraction`` entries) and builds one
-``Fraction`` per nonzero entry of the reduced form; ``cycle._focus_roots``
-reads the focus quadratic's coefficients over numerators, and
+``Fraction`` per nonzero entry of the reduced form.
+``cycle.cycle_from_constraints`` clears the base and direction of a line
+of candidates once, and ``cycle._focus_roots`` reads the focus
+quadratic's coefficients over those numerators and solves it over the
+integers; its perfect-square test is ``isqrt_exact``, which
+``sqrt_exact`` uses too, so no other module takes an integer square root.
 ``GroupElement`` tests ad - bc against the squared denominator of its
 entries' numerators when a ``Fraction`` is among them, and as given when
 every entry is an ``int`` (``is_int``) or one is a float, building a
@@ -233,14 +237,19 @@ def fmt12(value: Scalar) -> str:
     return text
 
 
-def sqrt_exact(value: Fraction) -> Fraction | None:
-    """Rational square root, or None when the value is not a perfect square."""
+def isqrt_exact(value: int) -> int | None:
+    """Integer square root, or None when the integer is negative or not a perfect square."""
     if value < 0:
         return None
+    root = math.isqrt(value)
+    return root if root * root == value else None
+
+
+def sqrt_exact(value: Fraction) -> Fraction | None:
+    """Rational square root, or None when the value is not a perfect square."""
     frac = Fraction(value)
-    num_root = math.isqrt(frac.numerator)
-    den_root = math.isqrt(frac.denominator)
-    if num_root * num_root != frac.numerator or den_root * den_root != frac.denominator:
+    num_root, den_root = isqrt_exact(frac.numerator), isqrt_exact(frac.denominator)
+    if num_root is None or den_root is None:
         return None
     return Fraction(num_root, den_root)
 

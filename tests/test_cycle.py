@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from conftest import (
@@ -486,3 +486,23 @@ def test_exact_focus_solutions_satisfy_every_focus_condition(system):
             if isinstance(constraint, HasFocus):
                 v, sigma_cycle = constraint.point[1], int(constraint.sigma_cycle)
                 assert sigma_cycle * n * n - l * l + m * k - 2 * v * n * k == 0
+
+
+@given(FOCUS_SIGNS, FOCUS_SIGNS, FOCUS_SCALARS, FOCUS_SCALARS.filter(bool), FOCUS_POINTS)
+def test_every_exact_cycle_is_found_from_its_focus_and_a_point(sigma, sigma_cycle, l, n, through):
+    """The cycle (1, l, n, m) drawn through a point is among the solutions from its focus.
+
+    A zero determinant (the focus on the real axis) and a point at the focus
+    are kept.  Skipped is only a parabolic focus level with the point, where
+    the focus condition holds identically and the solver raises
+    UnderDetermined.
+    """
+    u, v = through
+    m = -(u * u - int(sigma) * v * v) + 2 * l * u + 2 * n * v
+    cycle = CycleQuadruple(1, l, n, m)
+    f = focus(cycle, sigma_cycle)
+    assume(not (sigma_cycle == P and f.v == v))
+    solutions = cycle_from_constraints(
+        [HasFocus((f.u, f.v), sigma_cycle), PassesThrough(through, sigma), Normalised()]
+    )
+    assert cycle in solutions

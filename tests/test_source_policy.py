@@ -1,8 +1,9 @@
 """Source rules that keep one exact/float policy, read from the package's syntax trees.
 
 * No module imports another module's ``_private`` name.
-* ``sqrt_exact`` is used only inside ``numbers.py``; elsewhere square
-  roots go through ``scalar_sqrt`` or ``sqrt_or_float``.
+* ``sqrt_exact`` and ``isqrt`` are used only inside ``numbers.py``;
+  elsewhere square roots go through ``scalar_sqrt`` or ``sqrt_or_float``,
+  and perfect-square tests of integers through ``isqrt_exact``.
 * The tolerance literal ``1e-9`` appears only in ``numbers.py``, as
   ``REL_TOL``; float zero tests go through ``vanishes``.
 * Outside ``numbers.py`` no module names ``isfinite`` or passes
@@ -63,9 +64,9 @@ def test_sqrt_exact_and_tolerance_literal_stay_in_numbers(path):
     uses = [
         f"line {node.lineno}"
         for node in ast.walk(tree(path))
-        if (isinstance(node, ast.Name) and node.id == "sqrt_exact")
-        or (isinstance(node, ast.Attribute) and node.attr == "sqrt_exact")
-        or (isinstance(node, ast.alias) and node.name == "sqrt_exact")
+        if (isinstance(node, ast.Name) and node.id in ("sqrt_exact", "isqrt"))
+        or (isinstance(node, ast.Attribute) and node.attr in ("sqrt_exact", "isqrt"))
+        or (isinstance(node, ast.alias) and node.name in ("sqrt_exact", "isqrt"))
         or (isinstance(node, ast.Constant) and type(node.value) is float and node.value == 1e-9)
     ]
     assert uses == []
