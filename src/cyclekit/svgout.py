@@ -2,15 +2,18 @@
 
 Circles are native <circle> elements, parabolas are exact quadratic
 Bezier arcs (a parabola is exactly a quadratic Bezier), hyperbolas are
-sampled polylines: a bisection on a 1,024-point grid across the viewport,
-one on each side of the discriminant's vertex, finds the u-intervals
-where the branches are real (the runs a scan of the grid finds wherever
-rounding keeps the discriminant monotone on each side), and each
-interval is sampled at 160 abscissae shared by both branches, keeping
-the samples that fall within one viewport height of the viewport.  All
-numbers are formatted to at most 12 significant digits with "-0"
-normalised, so a given document always renders to identical bytes.
-``write_text`` is the one writer of every file the package writes.
+sampled polylines, one per branch and clipped run.  A hyperbola is
+sampled in the coordinate across the direction its branches open, over
+which each branch is a graph with no vertical tangent, and solved for
+the other coordinate with the cancellation-free root pairs of
+``_root_pairs``.  Each branch is clipped exactly to u in the viewport and
+v within one viewport height of it, and gets at most HYPERBOLA_SAMPLES
+points, crowded toward its vertex; the light cone (zero radius) is two
+straight segments.  The sampler uses only + - * / and ``math.sqrt``, no
+libm call whose rounding varies by platform.  All numbers are formatted
+to at most 12 significant digits with "-0" normalised, so a given
+document always renders to identical bytes.  ``write_text`` is the one
+writer of every file the package writes.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ import math
 import os
 import re
 import stat
-from bisect import bisect_left, bisect_right
 
 from .cycle import CycleQuadruple, FSCcContext, centre, radius_sq
 from .errors import CycleKitError, Degenerate, DocumentError
@@ -30,6 +32,10 @@ from .value import Value
 
 CANVAS_PX = 512.0
 HYPERBOLA_SAMPLES = 160
+# (j/N)^2 for 0 < j < N: a branch gets 2N - 1 samples and at most four
+# clipped ends, HYPERBOLA_SAMPLES points in all
+_STEPS = (HYPERBOLA_SAMPLES - 3) // 2
+_GRADES = tuple(j * j / (_STEPS * _STEPS) for j in range(1, _STEPS))
 DEFAULT_STROKE = "#1f4e9c"
 
 # "%.12g" writes a non-finite float as inf, -inf or nan.  Numbers appear only
@@ -276,8 +282,7 @@ def _cycle_elements(
             if disc < 0:
                 elements.append("<!-- empty parabolic locus -->")
                 return elements
-            for sgn in ((-1.0, 1.0) if disc > 0 else (0.0,)):
-                u0 = (l + sgn * math.sqrt(disc)) / k
+            for u0 in _root_pairs(k, l, [(m, disc)])[0] if disc > 0 else (l / k,):
                 elements.append(_vertical_line(u0, doc, attrs))
             return elements
         elements.append(_parabola_bezier(k, l, n, m, doc, attrs))
@@ -336,57 +341,127 @@ def _hyperbola_polylines(
 ) -> list[str]:
     umin, umax, vmin, vmax = doc.viewport
     span = vmax - vmin
-    lo, hi = vmin - span, vmax + span
-    # the branches v = (-n +- sqrt(disc)) / k are real where
-    # disc = n^2 + k (k u^2 - 2 l u + m) >= 0 at the grid abscissae
-    # umin + (umax - umin) i / (scan - 1).  disc falls toward its vertex
-    # u = l/k and rises after it, so the real grid points are a prefix
-    # [0, a) left of the vertex and a suffix [b, scan) right of it, one run
-    # when they meet; bisecting each side finds a and b with the predicate
-    # of a full scan.  The runs are the scan's wherever rounding keeps that
-    # predicate monotone on each side; far off-centre, where k u^2 - 2 l u
-    # cancels, the scan's runs flicker and the bisection keeps one prefix
-    # and one suffix that end where the predicate changes
-    scan = 1024
+    # work in coordinates centred on the viewport, so that far from the
+    # origin the coefficients do not cancel
+    u0, v0 = (umin + umax) / 2.0, (vmin + vmax) / 2.0
+    k, l, n, m, det = _recentred(k, l, n, m, u0, v0)
+    ubox = (umin - u0, umax - u0)
+    vbox = (vmin - span - v0, vmax + span - v0)
+    if det < 0:  # the branches open along u: sample v and solve for u
+        runs = _hyperbola_runs(k, -n, -l, -m, -det, vbox, ubox, v0, u0)
+        runs = [[(u, v) for v, u in run] for run in runs]
+    else:
+        runs = _hyperbola_runs(k, l, n, m, det, ubox, vbox, u0, v0)
+    return [polyline(run, attrs) for run in runs] or ["<!-- empty hyperbolic locus -->"]
 
-    def grid(i):
-        return umin + (umax - umin) * i / (scan - 1)
 
-    def real(i):
-        u = grid(i)
-        return n * n + k * (k * u * u - 2.0 * l * u + m) >= 0
+def _recentred(k: float, l: float, n: float, m: float, u0: float, v0: float):
+    """(k, l, n, m) of the cycle in coordinates centred at (u0, v0), and n^2 - l^2 + mk.
 
-    index = range(scan)
-    vertex = bisect_right(index, l / k, key=grid)
-    a = bisect_left(index, True, 0, vertex, key=lambda i: not real(i))
-    b = bisect_left(index, True, vertex, key=real)
-    runs = [(0, scan)] if a == b else [(0, a), (b, scan)]
-    sampled: list[list[tuple[float, float]]] = []  # (u, sqrt(disc)) per interval
-    for start, stop in runs:
-        ua, ub = grid(start), grid(stop - 1)
-        if ub <= ua:  # an empty or one-point run, or a span the floats collapse
+    The shift keeps k and the determinant n^2 - l^2 + mk.  Each value is
+    computed over the integers, with every input written as X/den, and
+    rounded once.  A quadruple whose entries all lie below 1 is scaled up
+    until the largest is 1, so that no square of an entry underflows.
+    """
+    ratios = [x.as_integer_ratio() for x in (k, l, n, m, u0, v0)]
+    den = math.lcm(*(q for _, q in ratios))
+    k, l, n, m, u0, v0 = (p * (den // q) for p, q in ratios)
+    quad = (  # the shifted quadruple times den^3
+        k * den * den,
+        (l * den - k * u0) * den,
+        (n * den + k * v0) * den,
+        k * (u0 * u0 - v0 * v0) - 2 * den * (l * u0 + n * v0) + m * den * den,
+    )
+    scale = min(den**3, max(map(abs, quad)))
+    k, l, n, m = quad
+    return (*(x / scale for x in quad), (n * n - l * l + m * k) / (scale * scale))
+
+
+def _hyperbola_runs(k, l, n, m, det, sbox, wbox, s0, w0) -> list[list[tuple[float, float]]]:
+    """The runs of k(s^2 - w^2) - 2ls - 2nw + m = 0 in sbox x wbox, for det >= 0, moved by (s0, w0).
+
+    det = n^2 - l^2 + mk >= 0 makes the branches open along w: the
+    branches k w + n = -sqrt(D) and +sqrt(D), with D = (ks - l)^2 + det,
+    are graphs over the whole s axis, and det = 0 is the light-cone line
+    pair k w + n = +-(ks - l), clipped to two segments.  Each branch is
+    clipped to the box exactly, at the roots of the cycle on the box's w
+    edges.  Both are sampled at s = c +- h (j/N)^2 for |j| < N, where c
+    is the vertex s = l/k moved into the clipped span and h reaches its
+    farther end, so the samples crowd toward the vertex, where the
+    curvature is greatest.
+    """
+    s_lo, s_hi = sbox
+    w_lo, w_hi = wbox
+    if det == 0:
+        # the lines w = s + b and w = -s + b', whose intercepts at s = 0
+        # are (-n - |l|)/k and (-n + |l|)/k, roots of k w^2 + 2nw - m = 0
+        low, high = _root_pairs(k, -n, [(-m, l * l)])[0]
+        runs = []
+        for sign, b in ((1.0, low), (-1.0, high)) if l >= 0 else ((1.0, high), (-1.0, low)):
+            lo, hi = sorted((sign * (w_lo - b), sign * (w_hi - b)))
+            a, c = max(s_lo, lo), min(s_hi, hi)
+            if a < c:
+                runs.append([(a + s0, sign * a + b + w0), (c + s0, sign * c + b + w0)])
+        return runs
+
+    def crossing(c, side):  # the s where branch side meets w = c, ascending, or None
+        e = m - c * (k * c + 2.0 * n)
+        disc = l * l - k * e
+        if (k * c + n > 0) != (side == 1) or disc < 0:
+            return None
+        return sorted(_root_pairs(k, l, [(e, disc)])[0])
+
+    pieces = []  # (branch side, first s, last s)
+    for side in (0, 1):
+        opens_up = (side == 1) == (k > 0)
+        far, near = (w_hi, w_lo) if opens_up else (w_lo, w_hi)
+        inner = crossing(far, side)
+        if inner is None:  # the branch lies beyond its far edge
             continue
-        roots = []
-        for i in range(HYPERBOLA_SAMPLES):
-            u = ua + (ub - ua) * i / (HYPERBOLA_SAMPLES - 1)
-            disc = n * n + k * (k * u * u - 2.0 * l * u + m)
-            if disc >= 0:
-                roots.append((u, math.sqrt(disc)))
-        sampled.append(roots)
+        a, b = max(s_lo, inner[0]), min(s_hi, inner[1])
+        cut = crossing(near, side)
+        spans = [(a, b)] if cut is None else [(a, min(b, cut[0])), (max(a, cut[1]), b)]
+        pieces += [(side, x, y) for x, y in spans if x < y]
+    if not pieces:
+        return []
+    lo = min(x for _, x, _ in pieces)
+    hi = max(y for _, _, y in pieces)
+    c = min(max(l / k, lo), hi)
+    h = max(c - lo, hi - c)
+    ts = [c - h * g for g in reversed(_GRADES)] + [c] + [c + h * g for g in _GRADES]
+    ends = [x for _, a, b in pieces for x in (a, b)]
+    ss = ts + ends
+    l2 = 2.0 * l
+    ws = _root_pairs(k, -n, [(-(s * (k * s - l2) + m), (k * s - l) * (k * s - l) + det) for s in ss])
+    samples = list(zip(ts, ws))
+    runs = []
+    for index, (side, a, b) in enumerate(pieces):
+        first, last = ws[len(ts) + 2 * index], ws[len(ts) + 2 * index + 1]
+        runs.append(
+            [(a + s0, first[side] + w0)]
+            + [(s + s0, pair[side] + w0) for s, pair in samples if a < s < b]
+            + [(b + s0, last[side] + w0)]
+        )
+    return runs
 
-    elements = []
-    for branch in (1.0, -1.0):
-        for roots in sampled:
-            run = []
-            for u, root in roots:
-                v = (-n + branch * root) / k
-                if lo <= v <= hi:
-                    run.append((u, v))
-            if len(run) >= 2:
-                elements.append(polyline(run, attrs))
-    if not elements:
-        elements.append("<!-- empty hyperbolic locus -->")
-    return elements
+
+def _root_pairs(a: float, b: float, terms) -> list[tuple[float, float]]:
+    """((b - sqrt(d))/a, (b + sqrt(d))/a) for each (c, d) in terms.
+
+    These are the roots of a x^2 - 2bx + c = 0, where d = b^2 - ac >= 0.
+    Each pair comes without cancellation as q/a and c/q with
+    q = b + sign(b) sqrt(d) (Higham, Accuracy and Stability of Numerical
+    Algorithms, section 1.8).
+    """
+    sign = math.copysign(1.0, b)
+    pairs = []
+    for c, d in terms:
+        q = b + sign * math.sqrt(d)
+        if q == 0:  # b = d = 0, so c = 0: the double root 0
+            pairs.append((0.0, 0.0))
+        else:
+            pairs.append((c / q, q / a) if sign > 0 else (q / a, c / q))
+    return pairs
 
 
 def dot(u: Scalar, v: Scalar, r: float, colour: str) -> str:

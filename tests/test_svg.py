@@ -59,15 +59,17 @@ def test_parabola_is_quadratic_bezier():
 
 
 def test_hyperbola_sampling_density():
-    doc = CycleSetDocument(
-        H, [(CycleQuadruple(1.0, 0.0, 0.0, -1.0), CycleStyle())], [], (-3.0, 3.0, -3.0, 3.0)
-    )
-    svg = render_svg(doc)
-    assert "<polyline" in svg
-    for line in svg.splitlines():
-        if "<polyline" in line:
-            coords = line.split('points="')[1].split('"')[0].split()
-            assert len(coords) >= 128
+    # u^2 - v^2 = 1 opens along u (R > 0), u^2 - v^2 = -1 along v (R < 0)
+    for m in (-1.0, 1.0):
+        doc = CycleSetDocument(
+            H, [(CycleQuadruple(1.0, 0.0, 0.0, m), CycleStyle())], [], (-3.0, 3.0, -3.0, 3.0)
+        )
+        svg = render_svg(doc)
+        assert svg.count("<polyline") == 2
+        for line in svg.splitlines():
+            if "<polyline" in line:
+                coords = line.split('points="')[1].split('"')[0].split()
+                assert len(coords) >= 128
 
 
 def test_zero_radius_dot():
