@@ -33,7 +33,7 @@ from .value import Value
 CANVAS_PX = 512.0
 HYPERBOLA_SAMPLES = 160
 # (j/N)^2 for 0 < j < N: a branch gets 2N - 1 samples and at most four
-# clipped ends, HYPERBOLA_SAMPLES points in all
+# clipped ends, no more than HYPERBOLA_SAMPLES points in all
 _STEPS = (HYPERBOLA_SAMPLES - 3) // 2
 _GRADES = tuple(j * j / (_STEPS * _STEPS) for j in range(1, _STEPS))
 DEFAULT_STROKE = "#1f4e9c"
