@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import truediv
 
 from .errors import (
+    CycleKitError,
     EverywhereZero,
     FocusUndefined,
     Inconsistent,
@@ -36,11 +36,13 @@ from .numbers import (
     as_fraction,
     clear_denominators,
     div,
+    exact_values,
     from_numerators,
     is_exact,
     is_int,
     isqrt_exact,
     one_like,
+    rounded,
     scalar_sqrt,
     sqrt_or_float,
     vanishes,
@@ -260,9 +262,8 @@ def _quadratic_roots(a: Scalar, b: Scalar, c: Scalar) -> list[Scalar]:
     is a rational square, floats otherwise (``sqrt_or_float``).  With
     a = b = 0 there is no root, or every t is one (UnderDetermined).
     ``roots`` calls it on every cycle; the focus solver calls it on
-    ``Fraction`` coefficients only for a = 0 or a discriminant that is no
-    rational square (the rest ``_focus_roots`` solves over integers), and
-    on floats in float mode.
+    ``Fraction`` coefficients only, for a = 0 or a discriminant that is no
+    rational square (the rest ``_focus_roots`` solves over integers).
     """
     if a == 0:
         if b == 0:
@@ -384,111 +385,103 @@ Constraint = PassesThrough | HasKindCentre | HasFocus | IsOrthogonalTo | Normali
 _ZERO, _ONE = Fraction(0), Fraction(1)  # every exact zero and one entry of _gauss_solve
 
 
-def _linear_rows(constraint: Constraint) -> tuple[list[tuple[list[Scalar], Scalar]], Scalar]:
-    """Rows (coefficients on (k,l,n,m), rhs) of the linear part, and the scale they carry.
+def _exact_constraints(constraints: list[Constraint]) -> tuple[list[Constraint], bool]:
+    """The constraints over the exact values of their scalars, and whether one was a float.
 
-    Exact scalars give integer rows over their numerators
-    (``numbers.clear_denominators``): the rows times d^2 for a point of
-    common denominator d, d for a centre or a focus, and the cycle's common
-    denominator for an orthogonality.  Float scalars give the rows over the
-    scalars as given, at scale 1.0.
+    Each constraint's scalars are read once (``numbers.exact_values``), so a
+    float or mixed system becomes the exact system of the same values.
+    """
+    exact, inexact = [], False
+    for constraint in constraints:
+        if isinstance(constraint, IsOrthogonalTo):
+            comps, floats = exact_values(constraint.cycle.components())
+            constraint = IsOrthogonalTo(CycleQuadruple(*comps), constraint.ctx) if floats else constraint
+        elif isinstance(constraint, (PassesThrough, HasKindCentre, HasFocus)):
+            point, floats = exact_values(constraint.point)
+            # the sign is the second field, whatever its name in the class
+            constraint = type(constraint)(point, constraint._fields(constraint)[1]) if floats else constraint
+        else:
+            floats = False
+        exact.append(constraint)
+        inexact = inexact or floats
+    return exact, inexact
+
+
+def _linear_rows(constraint: Constraint) -> list[tuple[list[int], int]]:
+    """Rows (integer coefficients on (k,l,n,m), rhs) of an exact constraint's linear part.
+
+    The rows are built over the integer numerators of the constraint's
+    scalars (``numbers.clear_denominators``): the rows over the scalars
+    times a positive common denominator, which leaves the solutions alone.
     """
     if isinstance(constraint, (PassesThrough, HasKindCentre, HasFocus)):
         ((u, v),), (d,) = clear_denominators(constraint.point)
         if isinstance(constraint, PassesThrough):
-            row = [u * u - int(constraint.sigma) * v * v, -2 * u * d, -2 * v * d, d * d]
-            return [(row, 0)], d * d
+            return [([u * u - int(constraint.sigma) * v * v, -2 * u * d, -2 * v * d, d * d], 0)]
         if isinstance(constraint, HasKindCentre):
             # l = u k and kind*n = -v k; for kind 0 the second row pins v k = 0.
-            return [([-u, d, 0, 0], 0), ([v, 0, int(constraint.kind) * d, 0], 0)], d
-        return [([-u, d, 0, 0], 0)], d
+            return [([-u, d, 0, 0], 0), ([v, 0, int(constraint.kind) * d, 0], 0)]
+        return [([-u, d, 0, 0], 0)]
     if isinstance(constraint, IsOrthogonalTo):
-        ((k, l, n, m),), (d,) = clear_denominators(constraint.cycle.components())
-        return [([-m, 2 * l, -2 * int(constraint.ctx.sigma_cycle) * n, -k], 0)], d
+        ((k, l, n, m),), _ = clear_denominators(constraint.cycle.components())
+        return [([-m, 2 * l, -2 * int(constraint.ctx.sigma_cycle) * n, -k], 0)]
     if isinstance(constraint, Normalised):
-        return [([1, 0, 0, 0], 1)], 1
+        return [([1, 0, 0, 0], 1)]
     raise TypeError(f"unknown constraint {constraint!r}")
 
 
-def _quadratic_residual(constraint: HasFocus, quad: list[Scalar]) -> Scalar:
-    """sigma_cycle n^2 - l^2 + m k - 2 v n k for the focus height condition."""
-    k, l, n, m = quad
-    v = constraint.point[1]
-    return int(constraint.sigma_cycle) * n * n - l * l + m * k - 2 * v * n * k
+def _gauss_solve(rows, rhs):
+    """Gauss-Jordan elimination of exact augmented rows over the integers.
 
-
-def _gauss_solve(rows, rhs, exact: bool):
-    """Gauss-Jordan elimination of the augmented rows, over the integers or over float.
-
-    Exact rows are taken as they are when every entry is an ``int``, as
-    ``pencil``'s are, and otherwise cleared to integers
-    (``numbers.clear_denominators``, one denominator per row); scaling a
-    row leaves the reduced row-echelon form alone.  Each step replaces
-    every other row by pivot * row - entry * pivot_row and divides it by
-    the gcd of its entries, so the rows stay small integers and no pivot
-    row is divided.  The reduced form is unique, so each nonzero output
-    entry, built once as ``Fraction(entry, pivot)``, is the Fraction that
-    elimination over Fraction gives, whatever the pivot rows; zero and one
-    entries are the shared ``Fraction(0)`` and ``Fraction(1)``.  Float rows
-    are divided by their pivot, which leaves a pivot of 1.0, and the first
-    pivot above a threshold scaled to the largest entry is taken.  Returns
-    (particular solution, nullspace basis), every component a Fraction or
-    every one a float, or None when the system is inconsistent.
+    Rows with a ``Fraction`` entry are first cleared to integers
+    (``numbers.clear_denominators``, one denominator per row).  The pivot of
+    a column is its first nonzero entry, and each step replaces every other
+    row by pivot * row - entry * pivot_row over the gcd of its entries, so
+    no pivot row is divided.  The reduced form is unique, so each nonzero
+    output entry, built once as ``Fraction(entry, pivot)``, is what
+    elimination over Fraction gives; zero and one entries are the shared
+    ``Fraction(0)`` and ``Fraction(1)``.  Returns (particular solution,
+    nullspace basis), or None when the system is inconsistent.
     """
     nvars = 4
-    if exact:
-        aug = [[*r, b] for r, b in zip(rows, rhs)]
-        if not is_int(*[x for row in aug for x in row]):
-            aug, _ = clear_denominators(*aug)
-        zero, one, tol, scale = _ZERO, _ONE, 0, 1
-        quotient = lambda x, piv: Fraction(x, piv) if x else _ZERO
-    else:
-        aug = [[float(x) for x in r] + [float(b)] for r, b in zip(rows, rhs)]
-        zero, one, quotient, tol = 0.0, 1.0, truediv, 1e-12
-        scale = max([1.0] + [abs(x) for row in aug for x in row])
+    aug = [[*r, b] for r, b in zip(rows, rhs)]
+    if not is_int(*[x for row in aug for x in row]):
+        aug, _ = clear_denominators(*aug)
     pivots: list[int] = []
     r = 0
     for col in range(nvars):
-        pivot_row = None
-        best = tol * scale
-        for i in range(r, len(aug)):
-            if abs(aug[i][col]) > best:
-                pivot_row = i
-                best = abs(aug[i][col])
-                if exact:
-                    break
-        if pivot_row is None:
+        for pivot_row in range(r, len(aug)):
+            if aug[pivot_row][col]:
+                break
+        else:
             continue
         aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
-        if not exact:
-            aug[r] = [x / aug[r][col] for x in aug[r]]
         top = aug[r]
         piv = top[col]
         for i, row in enumerate(aug):
             factor = row[col]
             if i != r and factor != 0:
                 row = [piv * x - factor * y for x, y in zip(row, top)]
-                if exact and (common := math.gcd(*row)) > 1:
+                if (common := math.gcd(*row)) > 1:
                     row = [x // common for x in row]
                 aug[i] = row
         pivots.append(col)
         r += 1
         if r == len(aug):
             break
-    for i in range(r, len(aug)):
-        if abs(aug[i][nvars]) > tol * scale:
-            return None
-    # the reduced form: each pivot row over its pivot, which a float row holds as 1.0 already
-    reduced = [(aug[i], aug[i][col] if exact else 1.0, col) for i, col in enumerate(pivots)]
-    particular = [zero] * nvars
+    if any(row[nvars] for row in aug[r:]):
+        return None
+    # the reduced form: each pivot row over its pivot
+    reduced = [(aug[i], aug[i][col], col) for i, col in enumerate(pivots)]
+    particular = [_ZERO] * nvars
     for row, piv, col in reduced:
-        particular[col] = quotient(row[nvars], piv)
+        particular[col] = Fraction(row[nvars], piv) if row[nvars] else _ZERO
     basis = []
     for free in [c for c in range(nvars) if c not in pivots]:
-        vec = [zero] * nvars
-        vec[free] = one
+        vec = [_ZERO] * nvars
+        vec[free] = _ONE
         for row, piv, col in reduced:
-            vec[col] = quotient(-row[free], piv)
+            vec[col] = Fraction(-row[free], piv) if row[free] else _ZERO
         basis.append(vec)
     return particular, basis
 
@@ -496,11 +489,12 @@ def _gauss_solve(rows, rhs, exact: bool):
 def _n_vanishes(k: Scalar, l: Scalar, n: Scalar, m: Scalar) -> bool:
     """Whether a focus candidate's n counts as zero.
 
-    In exact mode when n == 0.  A float n is measured against |l| and
-    sqrt|km|, the candidate's other sizes of degree one, which scale like
-    n when the quadruple or the plane is scaled.  A bound on n alone would
-    be floored at 1 or grow with m, and so would reject true cycles whose
-    focus lies far from the origin or whose figure is small.
+    An exact n when n == 0.  A float n, which only a candidate at an
+    irrational root has, is measured against |l| and sqrt|km|, the
+    candidate's other sizes of degree one, which scale like n when the
+    quadruple or the plane is scaled.  A bound on n alone would be floored
+    at 1 or grow with m, and so would reject true cycles whose focus lies
+    far from the origin or whose figure is small.
     """
     if is_exact(n):
         return n == 0
@@ -513,96 +507,80 @@ def _satisfies(values: list[Scalar], constraints, on_roots: bool) -> bool:
 
     A centre or focus needs k != 0, a focus also an n that does not
     vanish (``_n_vanishes``, so a float n of rounding size counts as
-    zero), and each focus residual must vanish; this filters spurious
-    k = 0 and n = 0 hits.  ``on_roots`` says that the candidate is
-    base + t*dir at an exact root t of every focus quadratic, where each
-    residual a t^2 + b t + c is exactly 0, so the residuals are not
-    evaluated again; the k and n tests still run.
+    zero), and each focus residual sigma_cycle n^2 - l^2 + m k - 2 v n k
+    must vanish; this filters spurious k = 0 and n = 0 hits.  ``on_roots``
+    says that the candidate is base + t*dir at an exact root t of every
+    focus quadratic, where each residual a t^2 + b t + c is exactly 0, so
+    the residuals are not evaluated again; the k and n tests still run.
     """
     k, l, n, m = values
     for constraint in constraints:
         if isinstance(constraint, (HasKindCentre, HasFocus)) and k == 0:
             return False
-        if isinstance(constraint, HasFocus) and (
-            _n_vanishes(k, l, n, m)
-            or not (on_roots or vanishes(_quadratic_residual(constraint, values), values, values))
-        ):
-            return False
+        if isinstance(constraint, HasFocus):
+            v, sign = constraint.point[1], int(constraint.sigma_cycle)
+            if _n_vanishes(k, l, n, m) or not (
+                on_roots or vanishes(sign * n * n - l * l + m * k - 2 * v * n * k, values, values)
+            ):
+                return False
     return True
 
 
 def _focus_roots(constraint: HasFocus, cleared) -> list[Scalar]:
     """Parameters t at which base + t*direction satisfies the focus quadratic.
 
-    ``cleared`` is ``clear_denominators(base, direction)``, which the caller
-    computes once for all foci.  The residual R(q) = sigma_cycle n^2 -
-    l^2 + m k - 2 v n k is a quadratic form, so R(base + t dir) = a t^2 +
-    b t + c with a = R(dir), c = R(base) and b = 2 P(base, dir), P the polar
-    form of R.  Exact mode reads a, b, c from the form over the integer
-    numerators of base, dir and v; they are integers over dv dd^2, dv db dd
-    and dv db^2, so t = dd s / db turns the equation into a s^2 + b s + c = 0
-    over the same integers.  Its discriminant and perfect-square test
-    (``numbers.isqrt_exact``) stay in ``int``, and each rational root
-    t = dd (-b +- r) / (2 a db) is one ``Fraction``.  Two cases stay on
-    ``Fraction``: a zero a and a discriminant that is no square go through
-    ``_quadratic_roots`` on the three coefficients as ``Fraction``s, which
-    keeps its ``UnderDetermined`` and its demoted floats.  Float mode
-    evaluates R at base and base +- dir, since the form's coefficients
-    taken in floats agree with exact mode less often.
+    ``cleared`` is ``clear_denominators(base, direction)`` of the exact line,
+    computed once for all foci.  R(q) = sigma_cycle n^2 - l^2 + m k - 2 v n k
+    is a quadratic form, so R(base + t dir) = a t^2 + b t + c with
+    a = R(dir), c = R(base) and b = 2 P(base, dir), P its polar form.  Read
+    once, over the integer numerators of base, dir and v, they are integers
+    over dv dd^2, dv db dd and dv db^2, and t = dd s / db turns the equation
+    into a s^2 + b s + c = 0 over the same integers.  Its discriminant and
+    perfect-square test (``numbers.isqrt_exact``) stay in ``int``, and each
+    rational root t = dd (-b +- r) / (2 a db) is one ``Fraction``.  A zero a
+    and a discriminant that is no square go through ``_quadratic_roots`` on
+    the coefficients as ``Fraction``s, which keeps its ``UnderDetermined``
+    and its demoted floats.
     """
     (base, direction), (db, dd) = cleared
-    if is_exact(db):
-        (kb, lb, nb, mb), (kd, ld, nd, md) = base, direction
-        v = constraint.point[1]
-        v, dv = v.numerator, v.denominator
-        s = int(constraint.sigma_cycle)
-        a = dv * (s * nd * nd - ld * ld + md * kd) - 2 * v * nd * kd
-        b = dv * (2 * (s * nb * nd - lb * ld) + mb * kd + md * kb) - 2 * v * (nb * kd + nd * kb)
-        c = dv * (s * nb * nb - lb * lb + mb * kb) - 2 * v * nb * kb
-        if a:
-            disc = b * b - 4 * a * c
-            if disc < 0:
-                return []
-            root = isqrt_exact(disc)
-            if root is not None:
-                den = 2 * a * db
-                if not root:
-                    return [Fraction(-b * dd, den)]
-                # in no particular order: the solutions are sorted by normalized_key
-                return [Fraction((-b - root) * dd, den), Fraction((-b + root) * dd, den)]
-        return _quadratic_roots(
-            Fraction(a, dv * dd * dd), Fraction(b, dv * db * dd), Fraction(c, dv * db * db)
-        )
-    # residual(base + t dir) = a t^2 + b t + c via three evaluations
-    c0 = _quadratic_residual(constraint, base)
-    c_plus = _quadratic_residual(constraint, [x + y for x, y in zip(base, direction)])
-    c_minus = _quadratic_residual(constraint, [x - y for x, y in zip(base, direction)])
-    return _quadratic_roots(div(c_plus + c_minus - 2 * c0, 2), div(c_plus - c_minus, 2), c0)
+    (kb, lb, nb, mb), (kd, ld, nd, md) = base, direction
+    v = constraint.point[1]
+    v, dv = v.numerator, v.denominator
+    s = int(constraint.sigma_cycle)
+    a = dv * (s * nd * nd - ld * ld + md * kd) - 2 * v * nd * kd
+    b = dv * (2 * (s * nb * nd - lb * ld) + mb * kd + md * kb) - 2 * v * (nb * kd + nd * kb)
+    c = dv * (s * nb * nb - lb * lb + mb * kb) - 2 * v * nb * kb
+    if a:
+        disc = b * b - 4 * a * c
+        if disc < 0:
+            return []
+        root = isqrt_exact(disc)
+        if root is not None:
+            den = 2 * a * db
+            if not root:
+                return [Fraction(-b * dd, den)]
+            # in no particular order: the solutions are sorted by normalized_key
+            return [Fraction((-b - root) * dd, den), Fraction((-b + root) * dd, den)]
+    return _quadratic_roots(
+        Fraction(a, dv * dd * dd), Fraction(b, dv * db * dd), Fraction(c, dv * db * db)
+    )
 
 
 def pencil(constraints: list[Constraint]) -> tuple[list[Scalar], list[list[Scalar]], bool]:
     """Linear stage of the solver: (base, basis, projective).
 
-    The rows of ``_linear_rows`` are eliminated over the integers when every
-    scale is an integer, and over float otherwise, an exact constraint's
-    rows divided by their scale (``int / int`` rounds as ``float(Fraction)``
-    does).  The solutions are base + span(basis).  When every right-hand
-    side is 0 the system is projective and the last nullspace vector is
-    popped into the place of the particular solution.  Raises Inconsistent
+    ``_gauss_solve`` eliminates the integer rows (``_linear_rows``) of the
+    exact constraints (``_exact_constraints``); the solutions are
+    base + span(basis).  When every right-hand side is 0 the system is
+    projective and the last nullspace vector is popped into the place of the
+    particular solution.  The Fraction components are rounded once to floats
+    (``numbers.rounded``) when a scalar was a float.  Raises Inconsistent
     when no solution, or only the zero quadruple, exists.
     """
-    rows, rhs, scales = [], [], []
-    for constraint in constraints:
-        pairs, scale = _linear_rows(constraint)
-        for coeffs, b in pairs:
-            rows.append(coeffs)
-            rhs.append(b)
-            scales.append(scale)
-    exact = is_exact(*scales)
-    if not exact and scales.count(1) < len(scales):
-        # a float constraint's scale is 1.0, and a scaled row's right-hand side 0
-        rows = [row if s == 1 else [x / s for x in row] for row, s in zip(rows, scales)]
-    solved = _gauss_solve(rows, rhs, exact)
+    constraints, inexact = _exact_constraints(constraints)
+    pairs = [pair for constraint in constraints for pair in _linear_rows(constraint)]
+    rhs = [b for _, b in pairs]
+    solved = _gauss_solve([coeffs for coeffs, _ in pairs], rhs)
     if solved is None:
         raise Inconsistent("linear constraints admit no solution")
     base, basis = solved
@@ -611,66 +589,65 @@ def pencil(constraints: list[Constraint]) -> tuple[list[Scalar], list[list[Scala
         if not basis:
             raise Inconsistent("only the zero quadruple satisfies the constraints")
         base = basis.pop()
+    if inexact:
+        base, basis = rounded(base), [rounded(vec) for vec in basis]
     return base, basis, projective
 
 
 def cycle_from_constraints(constraints: list[Constraint]) -> list[CycleQuadruple]:
     """All cycles satisfying every constraint, in deterministic order.
 
-    The linear conditions are eliminated first (``pencil``).  What
-    remains is one candidate, or a line base + t*direction whose
-    candidates are the common roots t of the focus quadratics; a
-    projective line also offers its direction, the point t = infinity.
-    Exact mode clears base and direction once
-    (``numbers.clear_denominators``) and shares the numerators with
-    ``_focus_roots``, which reads each quadratic's coefficients from the
-    quadratic form over them and solves it in ``int`` arithmetic, one
-    ``Fraction`` per rational root; a zero leading coefficient and a
-    discriminant that is no square stay on ``Fraction``
-    (``_quadratic_roots``), and float mode reads the coefficients from
-    three residuals.  Each candidate is the sum ``x + t*y`` over the
-    components of base and direction, in ``Fraction`` in exact mode.
-    One pass then checks every candidate: k != 0 where a centre or focus
-    needs it, an n that does not vanish (``_n_vanishes``) where a focus
-    does, and every focus residual vanishes in the sense of
-    ``numbers.vanishes`` (exactly, or within ``REL_TOL`` in float mode).
-    A candidate at an exact root t of every focus quadratic skips the
-    residuals, which are a t^2 + b t + c = 0 there by construction; a
-    float t, an irrational root (demoted to float) and the direction keep
-    the test.
-    The survivors are ordered by ``normalized_key``, compared exactly in
-    exact mode, and of equal keys the later candidate is kept.  A solution
-    family of positive dimension raises UnderDetermined; no surviving
-    candidate raises Inconsistent.
+    A float or mixed system is solved as the exact system of the same values
+    (``_exact_constraints``), and each component of the answer is rounded
+    once to a float (``numbers.rounded``).  The linear conditions are
+    eliminated first (``pencil``).  What remains is one candidate, or a line
+    base + t*direction whose candidates are the common roots t of the focus
+    quadratics (``_focus_roots``, over the numerators of base and direction,
+    cleared once); a projective line also offers its direction, the point
+    t = infinity.  One pass then checks every candidate (``_satisfies``):
+    k != 0 where a centre or focus needs it, an n that does not vanish where
+    a focus does, and every focus residual, which a candidate at an exact
+    root t of every quadratic satisfies by construction.  An irrational root
+    is demoted to float, and its candidate is tested within ``REL_TOL``
+    (``numbers.vanishes``); where the demotion meets an exact value beyond
+    the float range it raises CycleKitError.  The survivors are ordered by
+    their exact ``normalized_key``, and of equal keys the later candidate is
+    kept.  A solution family of positive dimension raises UnderDetermined;
+    no surviving candidate raises Inconsistent.
     """
+    constraints, inexact = _exact_constraints(constraints)
     base, basis, projective = pencil(constraints)
     quadratics = [c for c in constraints if isinstance(c, HasFocus)]
-    if not basis:
-        candidates = [(base, False)]
-    elif len(basis) == 1 and quadratics:
-        direction = basis[0]
-        cleared = clear_denominators(base, direction)
-        first, *others = [_focus_roots(q, cleared) for q in quadratics]
-        ts = [t for t in first if all(any(vanishes(t - o, (t, o)) for o in r) for r in others)]
-        candidates = [
-            (
-                [x + t * y for x, y in zip(base, direction)],
-                is_exact(t) and all(any(is_exact(o) and o == t for o in r) for r in others),
-            )
-            for t in ts
-        ]
-        if projective:
-            candidates.append((direction, False))
-    else:
+    if len(basis) > (1 if quadratics else 0):
         kind = "projective" if projective else "affine"
         raise UnderDetermined(f"solution family has {kind} dimension {len(basis)}")
-    solutions = [
-        CycleQuadruple(*values)
-        for values, on_roots in candidates
-        if any(values) and _satisfies(values, constraints, on_roots)
-    ]
+    try:
+        if not basis:
+            candidates = [(base, False)]
+        else:
+            (direction,) = basis
+            cleared = clear_denominators(base, direction)
+            first, *others = [_focus_roots(q, cleared) for q in quadratics]
+            ts = [t for t in first if all(any(vanishes(t - o, (t, o)) for o in r) for r in others)]
+            candidates = [
+                (
+                    [x + t * y for x, y in zip(base, direction)],
+                    is_exact(t) and all(any(is_exact(o) and o == t for o in r) for r in others),
+                )
+                for t in ts
+            ]
+            if projective:
+                candidates.append((direction, False))
+        solutions = [
+            CycleQuadruple(*values)
+            for values, on_roots in candidates
+            if any(values) and _satisfies(values, constraints, on_roots)
+        ]
+    except (OverflowError, ZeroDivisionError):  # a float root from exact values beyond the float range
+        raise CycleKitError("an irrational focus root leaves the float range") from None
     if not solutions:
         raise Inconsistent("no candidate survives constraint verification")
     # the stable sort leaves the later of equal keys last, and the last of a run stays
     keyed = sorted([(normalized_key(sol), sol) for sol in solutions], key=lambda pair: pair[0])
-    return [sol for i, (key, sol) in enumerate(keyed, 1) if i == len(keyed) or keyed[i][0] != key]
+    solutions = [sol for i, (key, sol) in enumerate(keyed, 1) if i == len(keyed) or keyed[i][0] != key]
+    return [CycleQuadruple(*rounded(sol.components())) for sol in solutions] if inexact else solutions

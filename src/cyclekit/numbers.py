@@ -20,16 +20,12 @@ or over the float operands as given; ``relations.is_orthogonal`` and
 elements the same way.  These helpers run on every exact query, so they
 scan their operands in plain loops, which the interpreter runs faster
 than ``any``/``all`` over a generator or a ``map``, and skip the ``lcm``
-of a group whose denominators are all 1.  ``cycle._linear_rows`` clears
-each constraint's scalars once and builds its rows over the numerators,
-so the exact branch of ``cycle._gauss_solve`` eliminates integer rows
-(clearing only rows given with ``Fraction`` entries) and builds one
-``Fraction`` per nonzero entry of the reduced form.
-``cycle.cycle_from_constraints`` clears the base and direction of a line
-of candidates once, and ``cycle._focus_roots`` reads the focus
-quadratic's coefficients over those numerators and solves it over the
-integers; its perfect-square test is ``isqrt_exact``, which
-``sqrt_exact`` uses too, so no other module takes an integer square root.
+of a group whose denominators are all 1.  The constraint solver works
+over integer numerators in both modes: ``exact_values`` reads a float
+constraint's scalars as the ``Fraction``s of their own values, ``rounded``
+rounds each output component once, and the focus quadratic's square test
+is ``isqrt_exact``, which ``sqrt_exact`` uses too, so no other module
+takes an integer square root.
 ``GroupElement`` tests ad - bc against the squared denominator of its
 entries' numerators when a ``Fraction`` is among them, and as given when
 every entry is an ``int`` (``is_int``) or one is a float, building a
@@ -46,7 +42,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import ExactModeError
+from .errors import CycleKitError, ExactModeError
 
 Scalar = int | Fraction | float
 
@@ -148,6 +144,31 @@ def from_numerators(values, den, operands):
         else:
             outputs.append(value // den)
     return tuple(outputs)
+
+
+def exact_values(values) -> tuple[tuple, bool]:
+    """The scalars with each float read as the ``Fraction`` of its own value, and whether one was a float.
+
+    Every float is a dyadic rational, so exact arithmetic on these values gives the exact
+    answer for the floats as given.  A float that is not finite raises a ValueError naming it.
+    """
+    for v in values:
+        if isinstance(v, float):
+            break
+    else:
+        return values, False
+    for v in values:
+        if isinstance(v, float) and not math.isfinite(v):
+            raise ValueError(f"scalars must be finite, got {v}")
+    return tuple(Fraction(v) if isinstance(v, float) else v for v in values), True
+
+
+def rounded(values) -> list[float]:
+    """Each value rounded once to the nearest float; a value beyond the float range raises CycleKitError."""
+    try:
+        return [float(v) for v in values]
+    except OverflowError:
+        raise CycleKitError("a component of the exact answer is beyond the float range") from None
 
 
 def zero_like(value: Scalar) -> Scalar:

@@ -247,6 +247,26 @@ def test_non_finite_json_result_is_a_domain_error(capsys, argv):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "mode, sigmas, a, b, problem",
+    [
+        # the exact cycle for these floats has m = 1e600
+        ("--float", ("p", "e"), "0,1", "0,1e300", "a component of the exact answer is beyond the float range"),
+        # an irrational focus root, demoted to float from coefficients whose floats are 0 or
+        # inf, or summed with a base and direction whose floats are inf
+        ("--float", ("p", "e"), "0,1e-300", "1e-300,1e300", "an irrational focus root leaves the float range"),
+        ("--exact", ("e", "e"), "0,1e300", "1e300,-1e300", "an irrational focus root leaves the float range"),
+        ("--float", ("e", "h"), "0,-2.5", "1.7e308,3e160", "an irrational focus root leaves the float range"),
+    ],
+)
+def test_focus_length_beyond_the_float_range_is_a_domain_error(capsys, mode, sigmas, a, b, problem):
+    argv = ["length", mode, "--kind", "focus", "--sigma", sigmas[0], "--sigma-cycle", sigmas[1], a, b]
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {problem}\n"
+
+
 needs_digit_limit = pytest.mark.skipif(
     not hasattr(sys, "get_int_max_str_digits"), reason="this Python prints integers of any length"
 )

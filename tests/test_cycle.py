@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from conftest import (
     sample_points_on_cycle,
 )
 from cyclekit import (
+    CycleKitError,
     CycleQuadruple,
     DirectedInterval,
     FSCcContext,
@@ -24,6 +26,7 @@ from cyclekit import (
     HasKindCentre,
     INFINITY,
     Inconsistent,
+    IsOrthogonalTo,
     LineHasNoRadius,
     Normalised,
     NoRealAxisIntersection,
@@ -52,6 +55,8 @@ from cyclekit import (
     trace_part,
     zero_radius_cycle,
 )
+from cyclekit.cycle import pencil
+from test_scalar_policy import exact_system, mixed_systems, outcome, round_once, systems
 
 E, P, H = ALL_SIGNS
 CTX_E = FSCcContext(E, 1)
@@ -506,3 +511,144 @@ def test_every_exact_cycle_is_found_from_its_focus_and_a_point(sigma, sigma_cycl
         [HasFocus((f.u, f.v), sigma_cycle), PassesThrough(through, sigma), Normalised()]
     )
     assert cycle in solutions
+
+
+# ---------------------------------------------------------------------------
+# Float systems are solved exactly on the floats' own values, then rounded once
+
+
+WIDE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def inexact_systems(draw):
+    """A float or mixed system: a solver mix, a linear-stage mix, or a focus system over floats of any size."""
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
+        system = draw(systems())
+    elif kind == 1:
+        system = draw(mixed_systems())
+    else:
+        point = st.tuples(WIDE, WIDE)
+        system = [HasFocus(draw(point), draw(FOCUS_SIGNS)), PassesThrough(draw(point), draw(FOCUS_SIGNS))]
+        if draw(st.booleans()):
+            system.append(draw(st.one_of(st.just(Normalised()), st.builds(PassesThrough, point, FOCUS_SIGNS))))
+    assume(exact_system(system)[1])
+    return system
+
+
+def shown(value):
+    """Types and values, a float by ``float.hex`` so that signed zeros count."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (list, tuple)):
+        return [shown(x) for x in value]
+    if isinstance(value, CycleQuadruple):
+        return shown(value.components())
+    return (type(value), value)
+
+
+def rounded_pencil(solved):
+    base, basis, projective = solved
+    return round_once(base), [round_once(vec) for vec in basis], projective
+
+
+def rounded_cycles(cycles):
+    return [CycleQuadruple(*round_once(c.components())) for c in cycles]
+
+
+ITEM_4_SYSTEMS = [
+    [HasFocus((-1.0, -1.0), P), PassesThrough((0.5, 0.0), E)],
+    [HasFocus((1e5, 1.0), E), PassesThrough((1e5, 0.0), P), Normalised()],
+    [PassesThrough((1e200, 1.0), E), PassesThrough((-1e200, 1.0), E), PassesThrough((0.0, 1e-200), E)],
+]
+FAR_FOCUS_SYSTEMS = [[HasFocus((u, 1.0), E), PassesThrough((u, 0.0), P), Normalised()] for u in (1e3, 2e3, 1e4)]
+SMALL_FOCUS_SYSTEM = [
+    HasFocus((-9 / 262144, -5 / 524288), H), PassesThrough((-9 / 262144, -9 / 524288), P), Normalised()
+]
+# the system of the focus length from (-28, -1/3) to (-30, 2), FromFocus(E, H)
+CANCELLING_FOCUS_SYSTEM = [HasFocus((-28.0, -1 / 3), H), PassesThrough((-30.0, 2.0), E), Normalised()]
+
+
+@given(inexact_systems())
+@example(ITEM_4_SYSTEMS[0])
+@example(ITEM_4_SYSTEMS[1])
+@example(ITEM_4_SYSTEMS[2])
+@example(FAR_FOCUS_SYSTEMS[0])
+@example(FAR_FOCUS_SYSTEMS[1])
+@example(FAR_FOCUS_SYSTEMS[2])
+@example(SMALL_FOCUS_SYSTEM)
+@example(CANCELLING_FOCUS_SYSTEM)
+def test_float_solves_are_the_rounded_exact_solves(system):
+    exact, _ = exact_system(system)
+    for solve, rounded in ((pencil, rounded_pencil), (cycle_from_constraints, rounded_cycles)):
+        want = outcome(solve, exact)
+        if not isinstance(want, type):
+            want = outcome(rounded, want)
+        got = outcome(solve, system)
+        assert shown(got) == shown(want), solve.__name__
+
+
+@pytest.mark.parametrize(
+    "system, want",
+    [
+        (ITEM_4_SYSTEMS[0], [(-0.8, 0.8, -0.9, 1.0)]),
+        (ITEM_4_SYSTEMS[1], [(1.0, 1e5, -2.0, 1e10)]),
+        *[(system, [(1.0, u, -2.0, u * u)]) for system, u in zip(FAR_FOCUS_SYSTEMS, (1e3, 2e3, 1e4))],
+    ],
+)
+def test_float_focus_systems_that_float_elimination_got_wrong(system, want):
+    # n = 7.2e15 from a cancelled leading coefficient, and Inconsistent from a
+    # pivot threshold scaled to u^2 beside the Normalised row's 1
+    assert [c.components() for c in cycle_from_constraints(system)] == want
+
+
+def test_three_far_apart_float_points_give_one_circle():
+    (circle,) = cycle_from_constraints(ITEM_4_SYSTEMS[2])
+    assert circle.l == 0.0 and all(type(x) is float for x in circle.components())
+
+
+def test_small_float_focus_system_has_one_cycle():
+    (cycle,) = cycle_from_constraints(SMALL_FOCUS_SYSTEM)
+    assert cycle.n == float(Fraction(1, 65536))
+
+
+def test_float_focus_length_does_not_cancel():
+    first, _ = length(DirectedInterval((-28.0, -1 / 3), (-30.0, 2.0)), FromFocus(E, H))
+    assert abs(first + 4) <= 4e-12
+
+
+NON_FINITE_SYSTEMS = [
+    ("inf", [PassesThrough((math.inf, 0.0), E), PassesThrough((0.0, 1.0), E), PassesThrough((1.0, 0.0), E)]),
+    ("-inf", [HasFocus((0.0, -math.inf), E), PassesThrough((0.0, 1.0), E), Normalised()]),
+    ("nan", [HasKindCentre((math.nan, 0.0), E), PassesThrough((0.0, 1.0), E)]),
+    ("nan", [IsOrthogonalTo(CycleQuadruple(1.0, math.nan, 0.0, -1.0), CTX_E), PassesThrough((0.0, 1.0), E),
+             PassesThrough((1.0, 0.0), E)]),
+]
+
+
+@pytest.mark.parametrize("solve", [pencil, cycle_from_constraints])
+@pytest.mark.parametrize("scalar, system", NON_FINITE_SYSTEMS)
+def test_a_scalar_that_is_not_finite_is_named(solve, scalar, system):
+    with pytest.raises(ValueError, match=f"^scalars must be finite, got {scalar}$"):
+        solve(system)
+
+
+@pytest.mark.parametrize(
+    "solve, system",
+    [
+        # the exact cycles k u^2 + ... through (4e-235, 0) with a focus at the origin have k/m ~ 1e469
+        (cycle_from_constraints, [HasFocus((0.0, 0.0), H), PassesThrough((4.265138290478188e-235, 0.0), E)]),
+        (pencil, [HasFocus((1e200, 1.0), E), PassesThrough((-1e200, 0.0), P), Normalised()]),
+    ],
+)
+def test_an_answer_beyond_the_float_range_is_a_domain_error(solve, system):
+    with pytest.raises(CycleKitError, match="^a component of the exact answer is beyond the float range$"):
+        solve(system)
+
+
+def test_an_irrational_focus_root_beyond_the_float_range_is_a_domain_error():
+    # the float root is summed with a base and a direction whose floats overflow
+    system = [HasFocus((0.0, -2.5), H), PassesThrough((1.7e308, 3e160), E), Normalised()]
+    with pytest.raises(CycleKitError, match="^an irrational focus root leaves the float range$"):
+        cycle_from_constraints(system)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import ALL_SIGNS, at_least, rand_cycle, rand_fraction, rand_group_exact, rand_real_circle
 from test_moebius import per_point_apply
-from test_scalar_policy import ref_gauss_solve
+from test_scalar_policy import ref_gauss_solve, round_once
 from cyclekit import (
     CycleQuadruple,
     Degenerate,
@@ -368,10 +368,16 @@ def test_orthogonal_family_rejects_a_count_below_one(count):
 
 # ---------------------------------------------------------------------------
 # The replaced sampler, kept as the reference: its own rows, a parameter
-# grid with repeated classes, and a dedupe by exact keys.
+# grid with repeated classes, and a dedupe by exact keys.  A float or mixed
+# call is solved on the Fraction values of its scalars, and the pencil is
+# rounded once before the ratios are applied, as the library does.
 
 
 def ref_orthogonal_family(cycle, through, ctx, count, sigma):
+    exact = is_exact(*through, *cycle.components())
+    if not exact:
+        through = tuple(Fraction(x) for x in through)
+        cycle = CycleQuadruple(*(Fraction(x) for x in cycle.components()))
     u, v = through
     sig_p = int(sigma)
     sig_c = int(ctx.sigma_cycle)
@@ -379,17 +385,13 @@ def ref_orthogonal_family(cycle, through, ctx, count, sigma):
         [-cycle.m, 2 * cycle.l, -2 * sig_c * ctx.s * ctx.s * cycle.n, -cycle.k],
         [u * u - sig_p * v * v, -2 * u, -2 * v, 1],
     ]
-    exact = is_exact(u, v, *cycle.components())
-    if not exact:
-        # the replaced elimination converted its float systems to float first
-        rows = [[float(x) for x in row] for row in rows]
-    solved = ref_gauss_solve(rows, [0, 0] if exact else [0.0, 0.0], exact)
+    solved = ref_gauss_solve(rows, [0, 0], True)
     if solved is None:
         raise Inconsistent("no common cycle")
     _, basis = solved
     if len(basis) != 2:
         raise Inconsistent("not a projective line")
-    b0, b1 = basis
+    b0, b1 = basis if exact else [round_once(vec) for vec in basis]
     family, seen = [], set()
     grid = [(1, 0), (0, 1)]
     step = 1
