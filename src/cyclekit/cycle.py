@@ -40,6 +40,7 @@ from .numbers import (
     from_numerators,
     is_exact,
     is_int,
+    is_rational,
     isqrt_exact,
     one_like,
     rounded,
@@ -245,21 +246,34 @@ def roots(cycle: CycleQuadruple) -> list[Scalar]:
     """Real solutions of k u^2 - 2 l u + m = 0 (the v = 0 section).
 
     Exact scalars are returned when the discriminant is a perfect
-    rational square, floats otherwise.
+    rational square, floats otherwise; an irrational root beyond the float
+    range raises CycleKitError.
     """
     k, l, _, m = cycle.components()
     if k == 0 and l == 0:
         if m == 0:
             raise EverywhereZero("real-axis restriction vanishes identically")
         raise NoRealAxisIntersection("k = l = 0 with m != 0")
-    return _quadratic_roots(k, -2 * l, m)
+    try:
+        return _quadratic_roots(k, -2 * l, m)
+    except (OverflowError, ZeroDivisionError):
+        raise CycleKitError("an irrational root leaves the float range") from None
 
 
 def _quadratic_roots(a: Scalar, b: Scalar, c: Scalar) -> list[Scalar]:
     """Real roots of a t^2 + b t + c = 0, ascending.
 
     Roots are exact when the coefficients are exact and the discriminant
-    is a rational square, floats otherwise (``sqrt_or_float``).  With
+    is a rational square, floats otherwise (``sqrt_or_float``).  Exact
+    coefficients of an irrational root are demoted to the floats of -b,
+    disc and 2a.  Where one of 2a, b and disc lies beyond 2^+-1000, a, b
+    and c are first scaled by one power of two, 2^-e with 2^e the largest
+    of |2a|, |b| and sqrt(disc): the roots stay as they are, and each of
+    the three floats is a normal number unless it is 2^1000 times smaller
+    than the largest.  In-range coefficients are not scaled, because
+    ``float ** 0.5`` is not correctly rounded and so does not always
+    scale exactly.  A demoted root beyond the float range raises
+    OverflowError, or ZeroDivisionError where 2a underflows.  With
     a = b = 0 there is no root, or every t is one (UnderDetermined).
     ``roots`` calls it on every cycle; the focus solver calls it on
     ``Fraction`` coefficients only, for a = 0 or a discriminant that is no
@@ -276,8 +290,19 @@ def _quadratic_roots(a: Scalar, b: Scalar, c: Scalar) -> list[Scalar]:
         return []
     if disc == 0:
         return [div(-b, 2 * a)]
+    exact = is_rational(a, b, c)
+    if exact:
+        # the binary exponents of 2a, disc and a nonzero b, each to within one
+        bits = [abs(x.numerator).bit_length() - x.denominator.bit_length() for x in (2 * a, disc, b) if x]
+        if max(map(abs, bits)) > 1000:
+            e = max(bits[0], bits[1] // 2, *bits[2:])
+            scale = Fraction(1, 2**e) if e > 0 else 2**-e
+            a, b, disc = a * scale, b * scale, disc * scale * scale
     root = sqrt_or_float(disc)
-    return sorted([div(-b - root, 2 * a), div(-b + root, 2 * a)])
+    found = sorted([div(-b - root, 2 * a), div(-b + root, 2 * a)])
+    if exact and math.inf in (abs(found[0]), abs(found[1])):
+        raise OverflowError("a demoted root is beyond the float range")
+    return found
 
 
 def projective_eq(c1: CycleQuadruple, c2: CycleQuadruple) -> bool:
@@ -322,11 +347,18 @@ def normalize(cycle: CycleQuadruple, mode: str, ctx: FSCcContext | None = None) 
 
 
 def normalized_key(cycle: CycleQuadruple) -> tuple:
-    """Canonical representative: first nonzero component scaled to 1."""
-    comps = cycle.components()
-    for c in comps:
-        if c != 0:
-            return tuple(div(x, c) for x in comps)
+    """Canonical representative: first nonzero component scaled to 1.
+
+    An exact quadruple is read once over its integer numerators
+    (``numbers.clear_denominators``), and each component is the one
+    ``Fraction(numerator, leading numerator)``, the quotient ``div`` gives;
+    with a float anywhere each component is ``div(x, leading component)``.
+    """
+    ((nums,), (den,)) = clear_denominators(cycle.components())
+    quotient = Fraction if is_exact(den) else div
+    for lead in nums:
+        if lead != 0:
+            return tuple([quotient(x, lead) for x in nums])
     raise ValueError("zero quadruple")
 
 
@@ -578,6 +610,14 @@ def pencil(constraints: list[Constraint]) -> tuple[list[Scalar], list[list[Scala
     when no solution, or only the zero quadruple, exists.
     """
     constraints, inexact = _exact_constraints(constraints)
+    base, basis, projective = _pencil(constraints)
+    if inexact:
+        base, basis = rounded(base), [rounded(vec) for vec in basis]
+    return base, basis, projective
+
+
+def _pencil(constraints: list[Constraint]) -> tuple[list[Fraction], list[list[Fraction]], bool]:
+    """``pencil`` of constraints that ``_exact_constraints`` has made exact, before any rounding."""
     pairs = [pair for constraint in constraints for pair in _linear_rows(constraint)]
     rhs = [b for _, b in pairs]
     solved = _gauss_solve([coeffs for coeffs, _ in pairs], rhs)
@@ -589,8 +629,6 @@ def pencil(constraints: list[Constraint]) -> tuple[list[Scalar], list[list[Scala
         if not basis:
             raise Inconsistent("only the zero quadruple satisfies the constraints")
         base = basis.pop()
-    if inexact:
-        base, basis = rounded(base), [rounded(vec) for vec in basis]
     return base, basis, projective
 
 
@@ -600,7 +638,8 @@ def cycle_from_constraints(constraints: list[Constraint]) -> list[CycleQuadruple
     A float or mixed system is solved as the exact system of the same values
     (``_exact_constraints``), and each component of the answer is rounded
     once to a float (``numbers.rounded``).  The linear conditions are
-    eliminated first (``pencil``).  What remains is one candidate, or a line
+    eliminated first (``_pencil``, the exact stage of ``pencil``, on the
+    constraints as converted here).  What remains is one candidate, or a line
     base + t*direction whose candidates are the common roots t of the focus
     quadratics (``_focus_roots``, over the numerators of base and direction,
     cleared once); a projective line also offers its direction, the point
@@ -616,7 +655,7 @@ def cycle_from_constraints(constraints: list[Constraint]) -> list[CycleQuadruple
     no surviving candidate raises Inconsistent.
     """
     constraints, inexact = _exact_constraints(constraints)
-    base, basis, projective = pencil(constraints)
+    base, basis, projective = _pencil(constraints)
     quadratics = [c for c in constraints if isinstance(c, HasFocus)]
     if len(basis) > (1 if quadratics else 0):
         kind = "projective" if projective else "affine"

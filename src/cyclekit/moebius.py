@@ -238,7 +238,8 @@ def subgroup_element(kind: str, param: Scalar) -> GroupElement:
     A(t) = diag(t, 1/t) with t > 0; N(t) is the shift by t; K(t) uses the
     tangent-half-angle point (cos, sin) = ((1-t^2)/(1+t^2), 2t/(1+t^2)),
     so rotations stay rational in exact mode: with t = p/q they are the
-    ``Fraction``s (q^2-p^2)/(q^2+p^2) and 2pq/(q^2+p^2) of the numerators.
+    ``Fraction``s (q^2-p^2)/(q^2+p^2) and 2pq/(q^2+p^2) of the numerators,
+    and A(p/q) has 1/t = ``Fraction(q, p)``, the quotient ``div`` gives.
     Each has determinant one by construction, so an ``int`` or ``Fraction``
     parameter skips ``GroupElement``'s test (``_det_one``); a float one,
     whose rounding the test renormalises, and any other value, which it
@@ -247,6 +248,9 @@ def subgroup_element(kind: str, param: Scalar) -> GroupElement:
     if kind == "A":
         if param <= 0:
             raise ValueError("dilation parameter must be positive")
+        if type(param) is Fraction:  # 1/(p/q) is q/p, without dividing Fractions
+            p, q = param.as_integer_ratio()
+            return _det_one((param, 0, 0, Fraction(q, p)), True)
         entries = (param, zero_like(param), zero_like(param), div(1, param))
         return _det_one(entries, is_rational(param))
     if kind == "N":

@@ -17,10 +17,14 @@ operands (one common denominator per group, one ``Fraction`` per output)
 or over the float operands as given; ``relations.is_orthogonal`` and
 ``relations.is_s_orthogonal`` test the numerator alone, and
 ``moebius.orbit_uv`` clears the numerators of an exact point and of exact
-elements the same way.  These helpers run on every exact query, so they
-scan their operands in plain loops, which the interpreter runs faster
-than ``any``/``all`` over a generator or a ``map``, and skip the ``lcm``
-of a group whose denominators are all 1.  The constraint solver works
+elements the same way.  These helpers run on every exact query, so
+``clear_denominators`` reads each operand once, in one plain loop that
+also finds the first float (a ``Fraction`` through ``as_integer_ratio()``,
+whose ``numerator`` and ``denominator`` are Python-level properties, an
+``int`` through its numerator), and skips the ``lcm`` of a group whose
+denominators are all 1; ``cycle.normalized_key`` and
+``relations.is_s_orthogonal`` build only the outputs they return or
+test.  The constraint solver works
 over integer numerators in both modes: ``exact_values`` reads a float
 constraint's scalars as the ``Fraction``s of their own values, ``rounded``
 rounds each output component once, and the focus quadratic's square test
@@ -102,22 +106,43 @@ def clear_denominators(*groups):
     integers ``v * d`` and the least common denominator ``d`` of its
     operands ``v``.  A float anywhere gives the groups as they are, each
     over ``1.0``, so the polynomial runs on the given values.
+
+    One pass reads each operand once: a ``Fraction`` through
+    ``as_integer_ratio()``, an ``int`` through its numerator, anything else
+    through ``.denominator`` and then ``.numerator``; the first float ends
+    the pass.  When an operand that is no scalar raises before a float is
+    met, every group is scanned for a float after all, so a float in any
+    group still hands the groups back; with none the error is raised.
     """
-    for group in groups:
-        for v in group:
-            if isinstance(v, float):
-                return groups, (1.0,) * len(groups)
     numerators, denominators = [], []
-    for group in groups:
-        dens = [v.denominator for v in group]
-        if dens.count(1) == len(dens):
-            den = 1
-            nums = [v.numerator for v in group]
-        else:
-            den = math.lcm(*dens)
-            nums = [v.numerator * (den // v.denominator) for v in group]
-        numerators.append(nums)
-        denominators.append(den)
+    try:
+        for group in groups:
+            nums, dens = [], []
+            for v in group:
+                if type(v) is Fraction:
+                    n, d = v.as_integer_ratio()
+                elif isinstance(v, int):
+                    n, d = v.numerator, 1
+                elif isinstance(v, float):
+                    return groups, (1.0,) * len(groups)
+                else:
+                    d = v.denominator
+                    n = v.numerator
+                nums.append(n)
+                dens.append(d)
+            if dens.count(1) == len(dens):
+                den = 1
+            else:
+                den = math.lcm(*dens)
+                nums = [n * (den // d) for n, d in zip(nums, dens)]
+            numerators.append(nums)
+            denominators.append(den)
+    except Exception:
+        for group in groups:
+            for v in group:
+                if isinstance(v, float):
+                    return groups, (1.0,) * len(groups)
+        raise
     return numerators, denominators
 
 

@@ -85,8 +85,10 @@ def ghost_cycle(
     return CycleQuadruple(cycle.k, cycle.l, twist * cycle.n, cycle.m)
 
 
-def _sandwich(mirror: CycleQuadruple, cycle: CycleQuadruple, sigma_cycle: SpaceSign):
+def _sandwich(outer: tuple, inner: tuple, sigma_cycle: SpaceSign):
     """(k, l, x, m) of M_mirror * M_cycle * M_mirror, whose imaginary part is i*s*x.
+
+    ``outer`` and ``inner`` are the components of the mirror and the cycle.
 
     With M = R + i*s*n and R traceless real, R1 R2 R1 = tr(R1 R2) R1 -
     (l1^2 - m1 k1) R2; s enters x only as s*s = 1.  The m1 terms cancel
@@ -97,7 +99,6 @@ def _sandwich(mirror: CycleQuadruple, cycle: CycleQuadruple, sigma_cycle: SpaceS
     common denominator d1^2 d2 (degree 2 in the mirror, 1 in the cycle)
     and the operands each value reads.
     """
-    outer, inner = mirror.components(), cycle.components()
     ((k1, l1, n1, m1), (k2, l2, n2, m2)), (d1, d2) = clear_denominators(outer, inner)
     sig = int(sigma_cycle)
     trace = 2 * l1 * l2 - m1 * k2 - k1 * m2
@@ -132,10 +133,8 @@ def reflect_cycle(
     product, a fixed polynomial in the components, always has the
     cycle-matrix shape; a zero product raises DegenerateReflection.
     """
-    inner = cycle
-    if conjugate_argument:
-        inner = CycleQuadruple(cycle.k, cycle.l, -cycle.n, cycle.m)
-    k, l, x, m = from_numerators(*_sandwich(mirror, inner, ctx.sigma_cycle))
+    inner = (cycle.k, cycle.l, -cycle.n, cycle.m) if conjugate_argument else cycle.components()
+    k, l, x, m = from_numerators(*_sandwich(mirror.components(), inner, ctx.sigma_cycle))
     if k == 0 and l == 0 and m == 0 and x == 0:
         raise DegenerateReflection("reflection collapsed to the zero quadruple")
     return CycleQuadruple(k, l, as_fraction(x), m)
@@ -181,10 +180,12 @@ def is_s_orthogonal(
 
     R = i*s is the real line, so the trace is the real number
     2*sigma_cycle*x (s*s = 1), with i*s*x the imaginary part of
-    C * C~ * C; an exact x is tested as its numerator, no ``Fraction``
-    built.  The relation is not symmetric.  In the parabolic cycle space
-    the trace vanishes identically; the verdict is True with a diagnostic
-    warning.
+    C * C~ * C.  Only x is computed, as ``_sandwich`` computes it: over
+    the integer numerators of exact quadruples
+    (``numbers.clear_denominators``), where x is tested as its numerator
+    and no ``Fraction`` is built, or over the floats as given.  The
+    relation is not symmetric.  In the parabolic cycle space the trace
+    vanishes identically; the verdict is True with a diagnostic warning.
     """
     if ctx.sigma_cycle == SpaceSign.PARABOLIC:
         warnings.warn(
@@ -193,10 +194,11 @@ def is_s_orthogonal(
             stacklevel=2,
         )
         return True
-    imag = _sandwich(cycle, other, ctx.sigma_cycle)[0][2]
-    trace = 2 * int(ctx.sigma_cycle) * imag
-    comps = cycle.components()
-    return vanishes(trace, comps, comps, other.components())
+    comps, others = cycle.components(), other.components()
+    ((k1, l1, n1, m1), (k2, l2, n2, m2)), _ = clear_denominators(comps, others)
+    sig = int(ctx.sigma_cycle)
+    imag = n1 * (2 * l1 * l2 - m1 * k2 - k1 * m2) + n2 * (l1 * l1 - m1 * k1) + sig * n1 * n1 * n2
+    return vanishes(2 * sig * imag, comps, comps, others)
 
 
 def s_ghost(
@@ -212,7 +214,7 @@ def s_ghost(
         raise DegenerateReflection(
             "s-ghost collapses to the real line in the parabolic cycle space"
         )
-    k, l, x, m = from_numerators(*_sandwich(cycle, REAL_LINE, sigma_cycle))
+    k, l, x, m = from_numerators(*_sandwich(cycle.components(), REAL_LINE.components(), sigma_cycle))
     if k == 0 and l == 0 and m == 0 and x == 0:
         raise DegenerateReflection("s-ghost collapsed to the zero quadruple")
     return CycleQuadruple(k, l, as_fraction(heaviside(int(sigma)) * x), m)

@@ -55,7 +55,10 @@ from cyclekit import (
     trace_part,
     zero_radius_cycle,
 )
-from cyclekit.cycle import pencil
+import cyclekit.cycle as cycle_module
+from cyclekit.cycle import normalized_key, pencil
+from cyclekit.numbers import div
+from test_numbers_bookkeeping import EXACT, SCALARS, canonical, quadruple
 from test_scalar_policy import exact_system, mixed_systems, outcome, round_once, systems
 
 E, P, H = ALL_SIGNS
@@ -260,6 +263,94 @@ def test_roots():
         roots(CycleQuadruple(0, 0, 1, 1))
     with pytest.raises(EverywhereZero):
         roots(CycleQuadruple(0, 0, 1, 0))
+
+
+def test_irrational_roots_of_coefficients_beyond_the_float_range():
+    """The coefficients are scaled by one power of two before the float demotion."""
+    low, high = roots(CycleQuadruple(Fraction(1, 10**400), 0, 0, -3))
+    assert math.isclose(high, math.sqrt(3) * 1e200, rel_tol=1e-15) and low == -high
+    low, high = roots(CycleQuadruple(10**400, 0, 0, -3 * 10**400))
+    assert math.isclose(high, math.sqrt(3), rel_tol=1e-15) and low == -high
+
+
+def test_an_irrational_root_beyond_the_float_range_raises():
+    with pytest.raises(CycleKitError, match="^an irrational root leaves the float range$"):
+        roots(CycleQuadruple(Fraction(1, 10**400), 0, 0, -3 * 10**400))  # +-1.7e400
+    with pytest.raises(CycleKitError, match="^an irrational root leaves the float range$"):
+        roots(CycleQuadruple(Fraction(1, 10**400), 1, 0, 1))  # about 0.5 and 2e400
+    with pytest.raises(CycleKitError, match="^an irrational root leaves the float range$"):
+        # 2a = 2^-1059 is a subnormal float, and -2/2a overflows to -inf
+        roots(CycleQuadruple(Fraction(1, 2**1060), Fraction(-1, 2), 0, 1))
+
+
+def test_in_range_irrational_roots_are_the_floats_of_the_unscaled_formula():
+    """No scaling in range: float ** 0.5 is not correctly rounded, so it would move bits."""
+    for k, l, m in [(1, 0, -2), (Fraction(1, 3), 1, -1), (Fraction(7, 5), Fraction(-2, 9), Fraction(-1, 7))]:
+        a, b = k, -2 * l
+        disc = b * b - 4 * a * m
+        want = sorted([(float(-b) - float(disc) ** 0.5) / float(2 * a), (float(-b) + float(disc) ** 0.5) / float(2 * a)])
+        assert roots(CycleQuadruple(k, l, 0, m)) == want
+
+
+@given(
+    st.fractions(-9, 9, max_denominator=12).filter(bool),
+    st.fractions(-9, 9, max_denominator=12),
+    st.fractions(-9, 9, max_denominator=12),
+    st.sampled_from([-1500, -1100, 1100, 1500]),
+)
+def test_roots_beyond_the_float_range_are_the_roots_within_it(k, l, m, power):
+    """A quadruple scaled by 2^power has the roots of the quadruple: exactly when they
+    are rational, within rounding when the scaled coefficients were demoted to floats."""
+    factor = Fraction(2) ** power
+    want = roots(CycleQuadruple(k, l, 0, m))
+    got = roots(CycleQuadruple(k * factor, l * factor, 0, m * factor))
+    assert len(got) == len(want)
+    size = max([1.0, *(abs(float(x)) for x in want)])
+    for g, w in zip(got, want):
+        assert type(g) is type(w)
+        assert g == w if isinstance(w, Fraction) else math.isclose(g, w, rel_tol=1e-9, abs_tol=1e-9 * size)
+
+
+def ref_normalized_key(cycle):
+    comps = cycle.components()
+    for c in comps:
+        if c != 0:
+            return tuple(div(x, c) for x in comps)
+    raise ValueError("zero quadruple")
+
+
+@given(st.one_of(st.lists(EXACT, min_size=4, max_size=4), st.lists(SCALARS, min_size=4, max_size=4)))
+@example([Fraction(0), 2, Fraction(-4, 3), True])
+@example([0.0, -0.0, 3, Fraction(1, 2)])
+def test_normalized_key_is_the_quotients_of_div(components):
+    """Over integer numerators for exact quadruples, by ``div`` with a float anywhere:
+    the replaced quotients by value and type (floats by ``float.hex``)."""
+    cycle = quadruple(components)
+    assert canonical(normalized_key(cycle)) == canonical(ref_normalized_key(cycle))
+
+
+def test_cycle_from_constraints_converts_its_constraints_once(monkeypatch):
+    """The solver and its linear stage share one ``_exact_constraints`` pass."""
+    calls = []
+    convert = cycle_module._exact_constraints
+
+    def counted(constraints):
+        calls.append(len(constraints))
+        return convert(constraints)
+
+    monkeypatch.setattr(cycle_module, "_exact_constraints", counted)
+    systems = [
+        [PassesThrough((1, 0), E), PassesThrough((-1, 0), E), PassesThrough((0, 1), E), Normalised()],
+        [PassesThrough((1.0, 0.0), E), PassesThrough((-1, 0), E), PassesThrough((0, 0.5), E), Normalised()],
+        [HasFocus((0, Fraction(1, 2)), P), PassesThrough((1, 0), P), Normalised()],
+    ]
+    for system in systems:
+        calls.clear()
+        cycle_from_constraints(system)
+        assert calls == [len(system)]
+    calls.clear()
+    pencil(systems[1])
+    assert calls == [len(systems[1])]
 
 
 def test_projective_eq_and_normalize():

@@ -14,8 +14,8 @@
   not``, ``==``, ``!=``): the scalar mode is read through
   ``numbers.is_exact`` and its siblings.
 * Only ``cycle.py`` names ``gauss_solve`` or ``_gauss_solve``, and calls
-  it once, from ``pencil``: every linear system goes through
-  ``cycle.pencil``.
+  it once, from ``_pencil``, the linear stage that ``cycle.pencil`` and
+  ``cycle_from_constraints`` share: every linear system goes through it.
 * No module imports ``dataclasses``: value classes derive from
   ``value.Value``, and ``import cyclekit.cli`` loads neither
   ``dataclasses``, ``inspect`` nor ``typing``.
@@ -167,8 +167,8 @@ def test_linear_systems_are_solved_only_in_cycle(path):
         return
     calls = [node for node in nodes if isinstance(node, ast.Call) and named(node.func, names)]
     assert len(calls) == 1
-    (pencil,) = [n for n in nodes if isinstance(n, ast.FunctionDef) and n.name == "pencil"]
-    assert calls[0] in list(ast.walk(pencil))
+    (stage,) = [n for n in nodes if isinstance(n, ast.FunctionDef) and n.name == "_pencil"]
+    assert calls[0] in list(ast.walk(stage))
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
