@@ -23,7 +23,13 @@ so that the focus quadratic has a double root, a negative or a positive
 leading coefficient, a zero one, a negative discriminant or an irrational
 root, a projective line with its direction candidate, and two foci of one
 cycle, each with small scalars and with numerators beyond 2^64 over
-denominators up to 10^6.  Inputs are drawn from ``random.Random(SEED)``,
+denominators up to 10^6.  Then ``roots`` runs on exact quadruples with
+rational and with irrational roots (the first input is (1, 0, 0, -2921),
+whose root a ``pow``-based square root misses by one unit in the last
+place), on float quadruples with the signed zeros, and on exact ones
+whose coefficients lie beyond 2^+-1000; one input in six has k = 0 (a
+linear section, or none).  ``radius_sq`` closes the list on exact, float,
+mixed and large quadruples, one in six a line.  Inputs are drawn from ``random.Random(SEED)``,
 in that order, so blocks appended at the end leave the earlier ones unchanged.
 Each input and its outcome are written as a canonical text: every value
 with its type name, floats by ``float.hex``, an error by its class and
@@ -69,7 +75,9 @@ from cyclekit import (
     invert,
     length,
     orthogonal_family,
+    radius_sq,
     reflect_cycle,
+    roots,
     s_ghost,
     similarity_transform,
     subgroup_element,
@@ -354,6 +362,49 @@ def _focus_branch(rng: random.Random, scalar, branch: str) -> list:
     return system + [Normalised()] if rng.random() < 0.5 else system
 
 
+def _quadruple(components) -> CycleQuadruple:
+    """The quadruple, with a zero one replaced by the line (0, 0, 1, 0)."""
+    return CycleQuadruple(*components) if any(components) else CycleQuadruple(0, 0, 1, 0)
+
+
+def _roots_cycle(rng: random.Random, mode: str) -> CycleQuadruple:
+    """A quadruple for ``roots``: its section k u^2 - 2 l u + m = 0 has rational or irrational
+    roots, or k = 0 one time in six; "large" scales an exact one, or its k alone, beyond 2^+-1000."""
+    if mode == "float":
+        comps = [_linear_scalar(rng, "float") for _ in range(4)]
+        if rng.random() < 1 / 6:
+            comps[0] = rng.choice(EDGES["float"])
+        return _quadruple(comps)
+    k, l, n = _nonzero(rng, _exact), _exact(rng), _exact(rng)
+    shape = rng.randrange(6)
+    if shape == 0:
+        k = 0
+        m = _exact(rng)
+    elif shape in (1, 2):  # the roots r1 and r2
+        r1, r2 = _exact(rng), _exact(rng)
+        l, m = Fraction(k * (r1 + r2), 2), k * r1 * r2
+    else:  # disc / 4 = l^2 - k m = s, most often no rational square
+        m = Fraction(l * l - rng.randint(-3, 10**5), k)
+    comps = (k, l, n, m)
+    if mode == "large":
+        factor = rng.choice((2**1100, Fraction(1, 2**1100), 10**400, Fraction(1, 10**400), 2**1500))
+        if rng.random() < 0.25:
+            return _quadruple((k * factor, l, n, m))
+        return _quadruple(tuple(x * factor for x in comps))
+    return _quadruple(comps)
+
+
+def _radius_cycle(rng: random.Random, mode: str) -> CycleQuadruple:
+    """A quadruple of ``mode`` for ``radius_sq``, one time in six a line (k = 0)."""
+    if mode == "large":
+        comps = [_large(rng) * rng.choice((1, 2**1100, Fraction(1, 2**1100))) for _ in range(4)]
+    else:
+        comps = list(_scalars(rng, mode, 4))
+    if rng.random() < 1 / 6:
+        comps[0] = 0
+    return _quadruple(comps)
+
+
 FOCUS_BRANCHES = (
     "double root",
     "negative leading coefficient",
@@ -498,6 +549,18 @@ def blocks() -> list[tuple[str, list[str]]]:
                 system = _focus_branch(rng, scalar, branch)
                 lines.append(f"{_text(system)} -> {_outcome(cycle_from_constraints, system)}")
             out.append((f"cycle_from_constraints exact {size} {branch} 0-{BLOCK - 1}", lines))
+    for mode in ("exact", "float", "large"):
+        cycles = [_roots_cycle(rng, mode) for _ in range(BLOCK)]
+        if mode == "exact":
+            cycles[0] = CycleQuadruple(1, 0, 0, -2921)
+        lines = [f"{_text(cycle)} -> {_outcome(roots, cycle)}" for cycle in cycles]
+        out.append((f"roots {mode} 0-{BLOCK - 1}", lines))
+    for mode in (*LINEAR_MODES, "large"):
+        lines = []
+        for _ in range(BLOCK):
+            cycle, ctx = _radius_cycle(rng, mode), FSCcContext(_sign(rng), rng.choice((1, -1)))
+            lines.append(f"{_text([cycle, ctx])} -> {_outcome(radius_sq, cycle, ctx)}")
+        out.append((f"radius_sq {mode} 0-{BLOCK - 1}", lines))
     return out
 
 
