@@ -270,9 +270,9 @@ def _quadratic_roots(a: Scalar, b: Scalar, c: Scalar) -> list[Scalar]:
     and c are first scaled by one power of two, 2^-e with 2^e the largest
     of |2a|, |b| and sqrt(disc): the roots stay as they are, and each of
     the three floats is a normal number unless it is 2^1000 times smaller
-    than the largest.  In-range coefficients are not scaled, because
-    ``float ** 0.5`` is not correctly rounded and so does not always
-    scale exactly.  A demoted root beyond the float range raises
+    than the largest.  In-range coefficients are not scaled: their floats
+    are normal numbers already, and the scaling would cost three more
+    exact products on every call.  A demoted root beyond the float range raises
     OverflowError, or ZeroDivisionError where 2a underflows.  With
     a = b = 0 there is no root, or every t is one (UnderDetermined).
     ``roots`` calls it on every cycle; the focus solver calls it on

@@ -320,12 +320,12 @@ def sqrt_or_float(value: Scalar) -> Scalar:
     """Square root of ``value >= 0`` that stays exact when it can.
 
     An exact perfect rational square gives its exact root.  Any other
-    exact value falls back explicitly to the float ``float(value) ** 0.5``
-    instead of raising, as does a float; use ``scalar_sqrt`` where exact
-    mode must not leave the rationals.
+    exact value falls back explicitly to the float ``math.sqrt(float(value))``,
+    the correctly rounded root of its float, instead of raising, as does a
+    float; use ``scalar_sqrt`` where exact mode must not leave the rationals.
     """
     if not isinstance(value, float):
         root = sqrt_exact(Fraction(value))
         if root is not None:
             return root
-    return float(value) ** 0.5
+    return math.sqrt(float(value))

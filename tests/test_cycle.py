@@ -57,7 +57,7 @@ from cyclekit import (
 )
 import cyclekit.cycle as cycle_module
 from cyclekit.cycle import normalized_key, pencil
-from cyclekit.numbers import div
+from cyclekit.numbers import div, sqrt_or_float
 from test_numbers_bookkeeping import EXACT, SCALARS, canonical, quadruple
 from test_scalar_policy import exact_system, mixed_systems, outcome, round_once, systems
 
@@ -284,12 +284,19 @@ def test_an_irrational_root_beyond_the_float_range_raises():
 
 
 def test_in_range_irrational_roots_are_the_floats_of_the_unscaled_formula():
-    """No scaling in range: float ** 0.5 is not correctly rounded, so it would move bits."""
+    """No scaling in range: the roots are the formula's floats of -b, disc and 2a as given."""
     for k, l, m in [(1, 0, -2), (Fraction(1, 3), 1, -1), (Fraction(7, 5), Fraction(-2, 9), Fraction(-1, 7))]:
         a, b = k, -2 * l
         disc = b * b - 4 * a * m
-        want = sorted([(float(-b) - float(disc) ** 0.5) / float(2 * a), (float(-b) + float(disc) ** 0.5) / float(2 * a)])
+        root = math.sqrt(float(disc))
+        want = sorted([(float(-b) - root) / float(2 * a), (float(-b) + root) / float(2 * a)])
         assert roots(CycleQuadruple(k, l, 0, m)) == want
+
+
+def test_irrational_roots_use_the_correctly_rounded_square_root():
+    """libm pow need not be correctly rounded: some give 2921 ** 0.5 one unit in the last place short."""
+    assert sqrt_or_float(2921) == math.sqrt(2921) == float.fromhex("0x1.b05ec632536fbp+5")
+    assert roots(CycleQuadruple(1, 0, 0, -2921)) == [-math.sqrt(2921), math.sqrt(2921)]
 
 
 @given(

@@ -4,6 +4,9 @@
 * ``sqrt_exact`` and ``isqrt`` are used only inside ``numbers.py``;
   elsewhere square roots go through ``scalar_sqrt`` or ``sqrt_or_float``,
   and perfect-square tests of integers through ``isqrt_exact``.
+* No module, ``numbers.py`` included, takes a power ``** 0.5`` or names
+  ``pow`` (the builtin, ``math.pow`` or an import of it): libm ``pow`` need
+  not be correctly rounded, so float square roots are ``math.sqrt``.
 * The tolerance literal ``1e-9`` appears only in ``numbers.py``, as
   ``REL_TOL``; float zero tests go through ``vanishes``.
 * Outside ``numbers.py`` no module names ``isfinite`` or passes
@@ -59,17 +62,21 @@ def test_no_private_cross_module_import(path):
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_sqrt_exact_and_tolerance_literal_stay_in_numbers(path):
-    if path.name == "numbers.py":
-        return
+    names = ("pow",) if path.name == "numbers.py" else ("pow", "sqrt_exact", "isqrt")
     uses = [
         f"line {node.lineno}"
         for node in ast.walk(tree(path))
-        if (isinstance(node, ast.Name) and node.id in ("sqrt_exact", "isqrt"))
-        or (isinstance(node, ast.Attribute) and node.attr in ("sqrt_exact", "isqrt"))
-        or (isinstance(node, ast.alias) and node.name in ("sqrt_exact", "isqrt"))
-        or (isinstance(node, ast.Constant) and type(node.value) is float and node.value == 1e-9)
+        if (isinstance(node, ast.Name) and node.id in names)
+        or (isinstance(node, ast.Attribute) and node.attr in names)
+        or (isinstance(node, ast.alias) and node.name in names)
+        or (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) and is_constant(node.right, 0.5))
+        or (path.name != "numbers.py" and is_constant(node, 1e-9))
     ]
     assert uses == []
+
+
+def is_constant(node, value):
+    return isinstance(node, ast.Constant) and type(node.value) is float and node.value == value
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
