@@ -643,7 +643,10 @@ def cycle_from_constraints(constraints: list[Constraint]) -> list[CycleQuadruple
     base + t*direction whose candidates are the common roots t of the focus
     quadratics (``_focus_roots``, over the numerators of base and direction,
     cleared once); a projective line also offers its direction, the point
-    t = infinity.  One pass then checks every candidate (``_satisfies``):
+    t = infinity.  With base = nb/db and direction = nd/dd over those
+    numerators, the candidate at an exact root t = p/q is built as one
+    ``Fraction`` per component, (q dd nb_i + p db nd_i) / (q db dd); the
+    candidate at a demoted float root is base + t*direction.  One pass then checks every candidate (``_satisfies``):
     k != 0 where a centre or focus needs it, an n that does not vanish where
     a focus does, and every focus residual, which a candidate at an exact
     root t of every quadratic satisfies by construction.  An irrational root
@@ -666,15 +669,19 @@ def cycle_from_constraints(constraints: list[Constraint]) -> list[CycleQuadruple
         else:
             (direction,) = basis
             cleared = clear_denominators(base, direction)
+            (nb, nd), (db, dd) = cleared
             first, *others = [_focus_roots(q, cleared) for q in quadratics]
             ts = [t for t in first if all(any(vanishes(t - o, (t, o)) for o in r) for r in others)]
-            candidates = [
-                (
-                    [x + t * y for x, y in zip(base, direction)],
-                    is_exact(t) and all(any(is_exact(o) and o == t for o in r) for r in others),
-                )
-                for t in ts
-            ]
+            candidates = []
+            for t in ts:
+                if is_exact(t):
+                    p, q = t.as_integer_ratio()
+                    qd, pd, den = q * dd, p * db, q * db * dd
+                    values = [Fraction(qd * x + pd * y, den) for x, y in zip(nb, nd)]
+                    on_roots = all(any(is_exact(o) and o == t for o in r) for r in others)
+                else:
+                    values, on_roots = [x + t * y for x, y in zip(base, direction)], False
+                candidates.append((values, on_roots))
             if projective:
                 candidates.append((direction, False))
         solutions = [
