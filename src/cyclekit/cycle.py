@@ -272,8 +272,8 @@ def _quadratic_roots(a: Scalar, b: Scalar, c: Scalar) -> list[Scalar]:
     the three floats is a normal number unless it is 2^1000 times smaller
     than the largest.  In-range coefficients are not scaled: their floats
     are normal numbers already, and the scaling would cost three more
-    exact products on every call.  A demoted root beyond the float range raises
-    OverflowError, or ZeroDivisionError where 2a underflows.  With
+    exact products on every call.  A demoted root beyond the float range
+    raises OverflowError, or ZeroDivisionError where 2a underflows.  With
     a = b = 0 there is no root, or every t is one (UnderDetermined).
     ``roots`` calls it on every cycle; the focus solver calls it on
     ``Fraction`` coefficients only, for a = 0 or a discriminant that is no
@@ -646,16 +646,17 @@ def cycle_from_constraints(constraints: list[Constraint]) -> list[CycleQuadruple
     t = infinity.  With base = nb/db and direction = nd/dd over those
     numerators, the candidate at an exact root t = p/q is built as one
     ``Fraction`` per component, (q dd nb_i + p db nd_i) / (q db dd); the
-    candidate at a demoted float root is base + t*direction.  One pass then checks every candidate (``_satisfies``):
-    k != 0 where a centre or focus needs it, an n that does not vanish where
-    a focus does, and every focus residual, which a candidate at an exact
-    root t of every quadratic satisfies by construction.  An irrational root
-    is demoted to float, and its candidate is tested within ``REL_TOL``
-    (``numbers.vanishes``); where the demotion meets an exact value beyond
-    the float range it raises CycleKitError.  The survivors are ordered by
-    their exact ``normalized_key``, and of equal keys the later candidate is
-    kept.  A solution family of positive dimension raises UnderDetermined;
-    no surviving candidate raises Inconsistent.
+    candidate at a demoted float root is base + t*direction.  One pass
+    then checks every candidate (``_satisfies``): k != 0 where a centre or
+    focus needs it, an n that does not vanish where a focus does, and every
+    focus residual, which a candidate at an exact root t of every quadratic
+    satisfies by construction.  An irrational root is demoted to float, and
+    its candidate is tested within ``REL_TOL`` (``numbers.vanishes``);
+    where the demotion meets an exact value beyond the float range it
+    raises CycleKitError.  The survivors are ordered by their exact
+    ``normalized_key``, and of equal keys the later candidate is kept.  A
+    solution family of positive dimension raises UnderDetermined; no
+    surviving candidate raises Inconsistent.
     """
     constraints, inexact = _exact_constraints(constraints)
     base, basis, projective = _pencil(constraints)
