@@ -28,8 +28,10 @@ rational and with irrational roots (the first input is (1, 0, 0, -2921),
 whose root a ``pow``-based square root misses by one unit in the last
 place), on float quadruples with the signed zeros, and on exact ones
 whose coefficients lie beyond 2^+-1000; one input in six has k = 0 (a
-linear section, or none).  ``radius_sq`` closes the list on exact, float,
-mixed and large quadruples, one in six a line.  Inputs are drawn from ``random.Random(SEED)``,
+linear section, or none).  ``radius_sq`` follows on exact, float,
+mixed and large quadruples, one in six a line, and ``roots`` closes the
+list on float quadruples whose k, l and m are drawn one time in three
+from ``FLOAT_EXTREMES`` (+-1e300, 1e-300, 5e-324, +-inf, nan).  Inputs are drawn from ``random.Random(SEED)``,
 in that order, so blocks appended at the end leave the earlier ones unchanged.
 Each input and its outcome are written as a canonical text: every value
 with its type name, floats by ``float.hex``, an error by its class and
@@ -375,6 +377,12 @@ def _roots_cycle(rng: random.Random, mode: str) -> CycleQuadruple:
         if rng.random() < 1 / 6:
             comps[0] = rng.choice(EDGES["float"])
         return _quadruple(comps)
+    if mode == "float extremes":  # each of k, l and m one time in three from FLOAT_EXTREMES
+        comps = [_linear_scalar(rng, "float") for _ in range(4)]
+        for index in (0, 1, 3):
+            if rng.random() < 1 / 3:
+                comps[index] = rng.choice(FLOAT_EXTREMES)
+        return _quadruple(comps)
     k, l, n = _nonzero(rng, _exact), _exact(rng), _exact(rng)
     shape = rng.randrange(6)
     if shape == 0:
@@ -561,6 +569,9 @@ def blocks() -> list[tuple[str, list[str]]]:
             cycle, ctx = _radius_cycle(rng, mode), FSCcContext(_sign(rng), rng.choice((1, -1)))
             lines.append(f"{_text([cycle, ctx])} -> {_outcome(radius_sq, cycle, ctx)}")
         out.append((f"radius_sq {mode} 0-{BLOCK - 1}", lines))
+    cycles = [_roots_cycle(rng, "float extremes") for _ in range(BLOCK)]
+    lines = [f"{_text(cycle)} -> {_outcome(roots, cycle)}" for cycle in cycles]
+    out.append((f"roots float extremes 0-{BLOCK - 1}", lines))
     return out
 
 
