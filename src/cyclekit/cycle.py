@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import truediv
 
 from .errors import (
     CycleKitError,
@@ -40,12 +41,10 @@ from .numbers import (
     from_numerators,
     is_exact,
     is_int,
-    is_rational,
-    isqrt_exact,
     one_like,
+    quadratic_roots,
     rounded,
     scalar_sqrt,
-    sqrt_or_float,
     vanishes,
 )
 from .value import Value
@@ -243,66 +242,28 @@ def zero_radius_cycle(at: tuple[Scalar, Scalar], ctx: FSCcContext) -> CycleQuadr
 
 
 def roots(cycle: CycleQuadruple) -> list[Scalar]:
-    """Real solutions of k u^2 - 2 l u + m = 0 (the v = 0 section).
+    """Real solutions of k u^2 - 2 l u + m = 0 (the v = 0 section), ascending.
 
-    Exact scalars are returned when the discriminant is a perfect
-    rational square, floats otherwise; an irrational root beyond the float
-    range raises CycleKitError.
+    k, l and m are read once: a float as the ``Fraction`` of its own value
+    (``numbers.exact_values``; one that is not finite raises ValueError), and
+    then as integers over one denominator (``numbers.clear_denominators``).
+    ``numbers.quadratic_roots`` gives a rational root as a ``Fraction`` and an
+    irrational one as the nearest float of the exact root.  With a float among
+    the scalars each root is rounded once (``numbers.rounded``).  A root
+    beyond the float range raises CycleKitError.
     """
     k, l, _, m = cycle.components()
+    (k, l, m), inexact = exact_values((k, l, m))
     if k == 0 and l == 0:
         if m == 0:
             raise EverywhereZero("real-axis restriction vanishes identically")
         raise NoRealAxisIntersection("k = l = 0 with m != 0")
+    ((k, l, m),), _ = clear_denominators((k, l, m))
     try:
-        return _quadratic_roots(k, -2 * l, m)
-    except (OverflowError, ZeroDivisionError):
+        found = quadratic_roots(k, -2 * l, m)
+    except OverflowError:
         raise CycleKitError("an irrational root leaves the float range") from None
-
-
-def _quadratic_roots(a: Scalar, b: Scalar, c: Scalar) -> list[Scalar]:
-    """Real roots of a t^2 + b t + c = 0, ascending.
-
-    Roots are exact when the coefficients are exact and the discriminant
-    is a rational square, floats otherwise (``sqrt_or_float``).  Exact
-    coefficients of an irrational root are demoted to the floats of -b,
-    disc and 2a.  Where one of 2a, b and disc lies beyond 2^+-1000, a, b
-    and c are first scaled by one power of two, 2^-e with 2^e the largest
-    of |2a|, |b| and sqrt(disc): the roots stay as they are, and each of
-    the three floats is a normal number unless it is 2^1000 times smaller
-    than the largest.  In-range coefficients are not scaled: their floats
-    are normal numbers already, and the scaling would cost three more
-    exact products on every call.  A demoted root beyond the float range
-    raises OverflowError, or ZeroDivisionError where 2a underflows.  With
-    a = b = 0 there is no root, or every t is one (UnderDetermined).
-    ``roots`` calls it on every cycle; the focus solver calls it on
-    ``Fraction`` coefficients only, for a = 0 or a discriminant that is no
-    rational square (the rest ``_focus_roots`` solves over integers).
-    """
-    if a == 0:
-        if b == 0:
-            if c == 0:
-                raise UnderDetermined("quadratic condition is identically satisfied")
-            return []
-        return [div(-c, b)]
-    disc = b * b - 4 * a * c
-    if disc < 0:
-        return []
-    if disc == 0:
-        return [div(-b, 2 * a)]
-    exact = is_rational(a, b, c)
-    if exact:
-        # the binary exponents of 2a, disc and a nonzero b, each to within one
-        bits = [abs(x.numerator).bit_length() - x.denominator.bit_length() for x in (2 * a, disc, b) if x]
-        if max(map(abs, bits)) > 1000:
-            e = max(bits[0], bits[1] // 2, *bits[2:])
-            scale = Fraction(1, 2**e) if e > 0 else 2**-e
-            a, b, disc = a * scale, b * scale, disc * scale * scale
-    root = sqrt_or_float(disc)
-    found = sorted([div(-b - root, 2 * a), div(-b + root, 2 * a)])
-    if exact and math.inf in (abs(found[0]), abs(found[1])):
-        raise OverflowError("a demoted root is beyond the float range")
-    return found
+    return rounded(found) if inexact else found
 
 
 def projective_eq(c1: CycleQuadruple, c2: CycleQuadruple) -> bool:
@@ -567,12 +528,10 @@ def _focus_roots(constraint: HasFocus, cleared) -> list[Scalar]:
     a = R(dir), c = R(base) and b = 2 P(base, dir), P its polar form.  Read
     once, over the integer numerators of base, dir and v, they are integers
     over dv dd^2, dv db dd and dv db^2, and t = dd s / db turns the equation
-    into a s^2 + b s + c = 0 over the same integers.  Its discriminant and
-    perfect-square test (``numbers.isqrt_exact``) stay in ``int``, and each
-    rational root t = dd (-b +- r) / (2 a db) is one ``Fraction``.  A zero a
-    and a discriminant that is no square go through ``_quadratic_roots`` on
-    the coefficients as ``Fraction``s, which keeps its ``UnderDetermined``
-    and its demoted floats.
+    into a s^2 + b s + c = 0 over the same integers, which
+    ``numbers.quadratic_roots`` solves: a rational t is one ``Fraction``, an
+    irrational one the nearest float of the exact root, and a = b = c = 0
+    raises ``UnderDetermined``.
     """
     (base, direction), (db, dd) = cleared
     (kb, lb, nb, mb), (kd, ld, nd, md) = base, direction
@@ -582,20 +541,7 @@ def _focus_roots(constraint: HasFocus, cleared) -> list[Scalar]:
     a = dv * (s * nd * nd - ld * ld + md * kd) - 2 * v * nd * kd
     b = dv * (2 * (s * nb * nd - lb * ld) + mb * kd + md * kb) - 2 * v * (nb * kd + nd * kb)
     c = dv * (s * nb * nb - lb * lb + mb * kb) - 2 * v * nb * kb
-    if a:
-        disc = b * b - 4 * a * c
-        if disc < 0:
-            return []
-        root = isqrt_exact(disc)
-        if root is not None:
-            den = 2 * a * db
-            if not root:
-                return [Fraction(-b * dd, den)]
-            # in no particular order: the solutions are sorted by normalized_key
-            return [Fraction((-b - root) * dd, den), Fraction((-b + root) * dd, den)]
-    return _quadratic_roots(
-        Fraction(a, dv * dd * dd), Fraction(b, dv * db * dd), Fraction(c, dv * db * db)
-    )
+    return quadratic_roots(a, b, c, dd, db)
 
 
 def pencil(constraints: list[Constraint]) -> tuple[list[Scalar], list[list[Scalar]], bool]:
@@ -644,16 +590,17 @@ def cycle_from_constraints(constraints: list[Constraint]) -> list[CycleQuadruple
     quadratics (``_focus_roots``, over the numerators of base and direction,
     cleared once); a projective line also offers its direction, the point
     t = infinity.  With base = nb/db and direction = nd/dd over those
-    numerators, the candidate at an exact root t = p/q is built as one
-    ``Fraction`` per component, (q dd nb_i + p db nd_i) / (q db dd); the
-    candidate at a demoted float root is base + t*direction.  One pass
-    then checks every candidate (``_satisfies``): k != 0 where a centre or
-    focus needs it, an n that does not vanish where a focus does, and every
-    focus residual, which a candidate at an exact root t of every quadratic
-    satisfies by construction.  An irrational root is demoted to float, and
-    its candidate is tested within ``REL_TOL`` (``numbers.vanishes``);
-    where the demotion meets an exact value beyond the float range it
-    raises CycleKitError.  The survivors are ordered by their exact
+    numerators, the candidate at a root t = p/q (``t.as_integer_ratio()``)
+    is (q dd nb_i + p db nd_i) / (q db dd) per component: one ``Fraction``
+    at a rational root, and at an irrational one, which is the nearest float
+    of the exact root, that quotient rounded once, so the candidate lies on
+    the exact line.  One pass then checks every candidate (``_satisfies``):
+    k != 0 where a centre or focus needs it, an n that does not vanish where
+    a focus does, and every focus residual, which a candidate at an exact
+    root t of every quadratic satisfies by construction.  A candidate at an
+    irrational root is tested within ``REL_TOL`` (``numbers.vanishes``);
+    where the root or a component of its candidate is beyond the float
+    range, CycleKitError is raised.  The survivors are ordered by their exact
     ``normalized_key``, and of equal keys the later candidate is kept.  A
     solution family of positive dimension raises UnderDetermined; no
     surviving candidate raises Inconsistent.
@@ -675,13 +622,12 @@ def cycle_from_constraints(constraints: list[Constraint]) -> list[CycleQuadruple
             ts = [t for t in first if all(any(vanishes(t - o, (t, o)) for o in r) for r in others)]
             candidates = []
             for t in ts:
-                if is_exact(t):
-                    p, q = t.as_integer_ratio()
-                    qd, pd, den = q * dd, p * db, q * db * dd
-                    values = [Fraction(qd * x + pd * y, den) for x, y in zip(nb, nd)]
-                    on_roots = all(any(is_exact(o) and o == t for o in r) for r in others)
-                else:
-                    values, on_roots = [x + t * y for x, y in zip(base, direction)], False
+                exact = is_exact(t)
+                p, q = t.as_integer_ratio()
+                qd, pd, den = q * dd, p * db, q * db * dd
+                quotient = Fraction if exact else truediv
+                values = [quotient(qd * x + pd * y, den) for x, y in zip(nb, nd)]
+                on_roots = exact and all(any(is_exact(o) and o == t for o in r) for r in others)
                 candidates.append((values, on_roots))
             if projective:
                 candidates.append((direction, False))
@@ -690,7 +636,7 @@ def cycle_from_constraints(constraints: list[Constraint]) -> list[CycleQuadruple
             for values, on_roots in candidates
             if any(values) and _satisfies(values, constraints, on_roots)
         ]
-    except (OverflowError, ZeroDivisionError):  # a float root from exact values beyond the float range
+    except OverflowError:  # a float root, or its candidate, beyond the float range
         raise CycleKitError("an irrational focus root leaves the float range") from None
     if not solutions:
         raise Inconsistent("no candidate survives constraint verification")

@@ -184,7 +184,8 @@ def is_perpendicular(
     for FromFocus, whose first branch is -2 A_v n with n a root of
     sigma_cycle n^2 + 2 (B_v - A_v) n + sigma B_v^2 - Du^2 = 0,
     -2 A_v (Du, -(n + sigma B_v)) / (sigma_cycle n + B_v - A_v).  An
-    irrational root is a float (``sqrt_or_float``), and so is that verdict.
+    irrational root is the nearest float of the exact root
+    (``numbers.quadratic_roots``), so that verdict is a float test.
     Where the derivative is 0 the second one is nonzero (an extremum) or
     zero (a flat length, which counts too), so it needs no test.  ``h`` and
     ``tol`` no longer affect the result.  Raises BranchInstability where

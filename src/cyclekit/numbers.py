@@ -24,11 +24,11 @@ whose ``numerator`` and ``denominator`` are Python-level properties, an
 ``int`` through its numerator), and skips the ``lcm`` of a group whose
 denominators are all 1; ``cycle.normalized_key`` and
 ``relations.is_s_orthogonal`` build only the outputs they return or
-test.  The constraint solver works
-over integer numerators in both modes: ``exact_values`` reads a float
-constraint's scalars as the ``Fraction``s of their own values, ``rounded``
-rounds each output component once, and the focus quadratic's square test
-is ``isqrt_exact``, which ``sqrt_exact`` uses too, so no other module
+test.  The constraint solver and
+``cycle.roots`` work over integer numerators in both modes: ``exact_values``
+reads a float scalar as the ``Fraction`` of its own value, ``rounded``
+rounds each output once, and ``quadratic_roots`` is the one root rule,
+exact roots or the nearest floats of irrational ones, so no other module
 takes an integer square root.
 ``GroupElement`` tests ad - bc against the squared denominator of its
 entries' numerators when a ``Fraction`` is among them, and as given when
@@ -46,7 +46,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import CycleKitError, ExactModeError
+from .errors import CycleKitError, ExactModeError, UnderDetermined
 
 Scalar = int | Fraction | float
 
@@ -289,6 +289,47 @@ def isqrt_exact(value: int) -> int | None:
         return None
     root = math.isqrt(value)
     return root if root * root == value else None
+
+
+def quadratic_roots(a: int, b: int, c: int, num: int = 1, den: int = 1) -> list[Fraction | float]:
+    """The real roots of a x^2 + b x + c = 0 over integers, ascending, each times num/den (both > 0).
+
+    A rational root (the discriminant a square, ``isqrt_exact``) is one ``Fraction``.  An
+    irrational root is the nearest float of the exact root, taken without cancellation as
+    q/2a and 2c/q with q = -(b + sign(b) sqrt(disc)) (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 1.8): sqrt(disc) lies between s/2^k and (s + 1)/2^k for
+    s = isqrt(disc 4^k), each root is monotone in it and integer true division rounds
+    correctly, so when both ends give the same floats these are the floats of the exact
+    roots; k grows by 64 until they do.  A root beyond the float range raises OverflowError.
+    With a = b = 0 there is no root, or every x is one (UnderDetermined).
+    """
+    if a == 0:
+        if b == 0:
+            if c == 0:
+                raise UnderDetermined("quadratic condition is identically satisfied")
+            return []
+        return [Fraction(-c * num, b * den)]
+    disc = b * b - 4 * a * c
+    if disc < 0:
+        return []
+    root = isqrt_exact(disc)
+    if root is not None:
+        den = 2 * a * den
+        if not root:
+            return [Fraction(-b * num, den)]
+        low, high = Fraction((-b - root) * num, den), Fraction((-b + root) * num, den)
+        return [low, high] if a > 0 else [high, low]
+    sign = -1 if b < 0 else 1
+    k = max(0, 64 - disc.bit_length() // 2)  # s has at least 64 bits
+    while True:
+        s = math.isqrt(disc << 2 * k)
+        ends = []
+        for r in (s, s + 1):
+            q = -((b << k) + sign * r)  # q 2^k
+            ends.append((q * num / (2 * a * den << k), (c * num << k + 1) / (q * den)))
+        if ends[0] == ends[1]:
+            return sorted(ends[0])
+        k += 64
 
 
 def sqrt_exact(value: Fraction) -> Fraction | None:

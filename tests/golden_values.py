@@ -31,8 +31,9 @@ whose coefficients lie beyond 2^+-1000; one input in six has k = 0 (a
 linear section, or none).  ``radius_sq`` follows on exact, float,
 mixed and large quadruples, one in six a line, and ``roots`` closes the
 list on float quadruples whose k, l and m are drawn one time in three
-from ``FLOAT_EXTREMES`` (+-1e300, 1e-300, 5e-324, +-inf, nan).  Inputs are drawn from ``random.Random(SEED)``,
-in that order, so blocks appended at the end leave the earlier ones unchanged.
+from ``FLOAT_EXTREMES`` (+-1e300, 1e-300, 5e-324, +-inf, nan).  Inputs
+are drawn from ``random.Random(SEED)``, in that order, so blocks appended
+at the end leave the earlier ones unchanged.
 Each input and its outcome are written as a canonical text: every value
 with its type name, floats by ``float.hex``, an error by its class and
 message.  The manifest pins these texts across commits;

@@ -59,7 +59,7 @@ import cyclekit.cycle as cycle_module
 from cyclekit.cycle import normalized_key, pencil
 from cyclekit.numbers import div, sqrt_or_float
 from test_numbers_bookkeeping import EXACT, SCALARS, canonical, quadruple
-from test_scalar_policy import exact_system, mixed_systems, outcome, round_once, systems
+from test_scalar_policy import exact_system, mixed_systems, nearest_root_floats, outcome, round_once, systems
 
 E, P, H = ALL_SIGNS
 CTX_E = FSCcContext(E, 1)
@@ -266,7 +266,7 @@ def test_roots():
 
 
 def test_irrational_roots_of_coefficients_beyond_the_float_range():
-    """The coefficients are scaled by one power of two before the float demotion."""
+    """An irrational root is the nearest float of the exact root, whatever the size of the coefficients."""
     low, high = roots(CycleQuadruple(Fraction(1, 10**400), 0, 0, -3))
     assert math.isclose(high, math.sqrt(3) * 1e200, rel_tol=1e-15) and low == -high
     low, high = roots(CycleQuadruple(10**400, 0, 0, -3 * 10**400))
@@ -279,18 +279,96 @@ def test_an_irrational_root_beyond_the_float_range_raises():
     with pytest.raises(CycleKitError, match="^an irrational root leaves the float range$"):
         roots(CycleQuadruple(Fraction(1, 10**400), 1, 0, 1))  # about 0.5 and 2e400
     with pytest.raises(CycleKitError, match="^an irrational root leaves the float range$"):
-        # 2a = 2^-1059 is a subnormal float, and -2/2a overflows to -inf
+        # about -1 and -2^1060
         roots(CycleQuadruple(Fraction(1, 2**1060), Fraction(-1, 2), 0, 1))
 
 
-def test_in_range_irrational_roots_are_the_floats_of_the_unscaled_formula():
-    """No scaling in range: the roots are the formula's floats of -b, disc and 2a as given."""
-    for k, l, m in [(1, 0, -2), (Fraction(1, 3), 1, -1), (Fraction(7, 5), Fraction(-2, 9), Fraction(-1, 7))]:
-        a, b = k, -2 * l
-        disc = b * b - 4 * a * m
-        root = math.sqrt(float(disc))
-        want = sorted([(float(-b) - root) / float(2 * a), (float(-b) + root) / float(2 * a)])
-        assert roots(CycleQuadruple(k, l, 0, m)) == want
+def nearest_roots(k, l, m):
+    """The roots of k u^2 - 2 l u + m = 0 for the exact values of the scalars, k and l not both 0.
+
+    A rational root is a ``Fraction``, an irrational one the nearest float of the
+    exact root (``nearest_root_floats``); with a float among the scalars every root
+    is rounded once.  A root beyond the float range raises OverflowError.
+    """
+    a, b, c = Fraction(k), -2 * Fraction(l), Fraction(m)
+    if a == 0:
+        found = [-c / b]
+    else:
+        disc = b * b - 4 * a * c
+        if disc < 0:
+            return []
+        num, den = math.isqrt(disc.numerator), math.isqrt(disc.denominator)
+        if num * num != disc.numerator or den * den != disc.denominator:
+            return nearest_root_floats(a, b, c)
+        root = Fraction(num, den)
+        found = sorted({(-b - root) / (2 * a), (-b + root) / (2 * a)})
+    return [float(x) for x in found] if any(isinstance(x, float) for x in (k, l, m)) else found
+
+
+@pytest.mark.parametrize(
+    "k, l, m, want",
+    [
+        # b^2 overflowed to inf, and the roots were [-inf, inf]
+        pytest.param(1.0, 1e200, 1.0, [5e-201, 2e200], id="float-overflow"),
+        # -b + sqrt(disc) cancelled, and the small root was 0.0
+        pytest.param(1e-300, 1.0, 1.0, [0.5, 1.9999999999999998e300], id="float-cancellation"),
+        pytest.param(1, 10**200, 1, [5e-201, 2e200], id="exact-cancellation"),
+    ],
+)
+def test_roots_do_not_cancel_or_overflow(k, l, m, want):
+    assert roots(CycleQuadruple(k, l, 0, m)) == want == nearest_roots(k, l, m)
+
+
+@pytest.mark.parametrize("scalar, k, l, m", [("inf", math.inf, 1.0, 1.0), ("nan", 1.0, math.nan, 1.0),
+                                             ("-inf", 1.0, 1.0, -math.inf), ("nan", 0.0, 0.0, math.nan)])
+def test_roots_of_a_scalar_that_is_not_finite_is_named(scalar, k, l, m):
+    with pytest.raises(ValueError, match=f"^scalars must be finite, got {scalar}$"):
+        roots(CycleQuadruple(k, l, 0.0, m))
+
+
+def test_a_float_root_beyond_the_float_range_raises():
+    """5e-324 u^2 - 2u + 1 = 0 has the roots 0.5 and about 4e323; the second was inf."""
+    with pytest.raises(OverflowError):
+        nearest_roots(5e-324, 1.0, 1.0)
+    with pytest.raises(CycleKitError, match="^an irrational root leaves the float range$"):
+        roots(CycleQuadruple(5e-324, 1.0, 0, 1.0))
+
+
+SMALL = st.fractions(-9, 9, max_denominator=12)
+
+
+@st.composite
+def root_coefficients(draw):
+    """(k, l, m), k and l not both 0: exact, exact beyond 2^+-1000, or floats of any size beside exact ones."""
+    kind = draw(st.sampled_from(["exact", "large", "float"]))
+    if kind == "float":
+        scalar = st.one_of(st.floats(allow_nan=False, allow_infinity=False), SMALL, SMALL.map(float))
+        k, l, m = draw(scalar), draw(scalar), draw(scalar)
+    else:
+        k, l, m = draw(SMALL), draw(SMALL), draw(SMALL)
+        if draw(st.booleans()):  # the roots r1 and r2, rational
+            r1, r2 = draw(SMALL), draw(SMALL)
+            l, m = k * (r1 + r2) / 2, k * r1 * r2
+        if kind == "large":
+            factor = Fraction(2) ** draw(st.sampled_from([-1500, -1100, 1100, 1500]))
+            k, l, m = k * factor, l * factor, m * factor
+    assume(k or l)
+    return k, l, m
+
+
+@given(root_coefficients())
+@example((Fraction(1, 2**1060), Fraction(-1, 2), 1))
+# roots near 2^52 + 1/2, the midpoint of two floats, where the first bracket of sqrt(disc) is
+# too wide: +-sqrt(2^104 + 2^52) lie within 2^-55 of it, and of the next pair only q/2a straddles it
+@example((1, 0, -(2**104 + 2**52)))
+@example((1, 0, -(2**104 + 2**52 + 1139262812994)))
+def test_each_root_is_exact_or_the_nearest_float_of_the_exact_root(coefficients):
+    k, l, m = coefficients
+    try:
+        want = nearest_roots(k, l, m)
+    except OverflowError:
+        want = CycleKitError
+    assert shown(outcome(roots, CycleQuadruple(k, l, 0, m))) == shown(want)
 
 
 def test_irrational_roots_use_the_correctly_rounded_square_root():
@@ -306,16 +384,12 @@ def test_irrational_roots_use_the_correctly_rounded_square_root():
     st.sampled_from([-1500, -1100, 1100, 1500]),
 )
 def test_roots_beyond_the_float_range_are_the_roots_within_it(k, l, m, power):
-    """A quadruple scaled by 2^power has the roots of the quadruple: exactly when they
-    are rational, within rounding when the scaled coefficients were demoted to floats."""
+    """A quadruple scaled by 2^power has the roots of the quadruple, by type and value:
+    the same ``Fraction``s, or the same nearest floats of the irrational roots."""
     factor = Fraction(2) ** power
     want = roots(CycleQuadruple(k, l, 0, m))
     got = roots(CycleQuadruple(k * factor, l * factor, 0, m * factor))
-    assert len(got) == len(want)
-    size = max([1.0, *(abs(float(x)) for x in want)])
-    for g, w in zip(got, want):
-        assert type(g) is type(w)
-        assert g == w if isinstance(w, Fraction) else math.isclose(g, w, rel_tol=1e-9, abs_tol=1e-9 * size)
+    assert shown(got) == shown(want)
 
 
 def ref_normalized_key(cycle):

@@ -12,7 +12,12 @@ with the solver: a focus needs an n that does not vanish, and a float n
 (a candidate at an irrational root) vanishes when it is within the
 tolerance of max(|l|, sqrt|km|), the candidate's other sizes of degree
 one.  The old exact test ``n == 0`` kept float cycles that exact mode
-rejects.
+rejects.  Two more rules changed with ``numbers.quadratic_roots``: the
+copy's irrational root is the nearest float of the exact root
+(``nearest_root_floats``), where it was the textbook formula over the
+floats of the coefficients, and its candidate at such a float root t is
+the exact point base + t*direction rounded once, where it was summed in
+floats.
 
 The linear stage alone, ``cycle._gauss_solve``, is checked against the
 copy's elimination too: exact systems, eliminated over the integers now,
@@ -134,6 +139,20 @@ def ref_gauss_solve(rows, rhs, exact):
     return particular, basis
 
 
+def nearest_root_floats(a, b, c):
+    """The nearest floats of the two irrational roots of a t^2 + b t + c = 0, a != 0, ascending.
+
+    The square root of the discriminant is taken by ``math.isqrt`` to 200 bits
+    beyond the coefficients' sizes, and each root (-b -+ root) / 2a is then
+    rounded once; a root beyond the float range raises OverflowError.
+    """
+    a, b, c = Fraction(a), Fraction(b), Fraction(c)
+    disc = b * b - 4 * a * c
+    bits = 200 + 4 * max(abs(x).bit_length() for v in (a, b, c) for x in v.as_integer_ratio())
+    root = Fraction(math.isqrt(disc.numerator * disc.denominator << 2 * bits), disc.denominator << bits)
+    return sorted([float((-b - root) / (2 * a)), float((-b + root) / (2 * a))])
+
+
 def ref_solve_quadratic(a, b, c):
     if a == 0:
         if b == 0:
@@ -150,9 +169,7 @@ def ref_solve_quadratic(a, b, c):
         if num * num == frac.numerator and den * den == frac.denominator:
             root = Fraction(num, den)
         else:
-            fa, fb, fd = float(a), float(b), float(disc)
-            root = fd**0.5
-            return sorted({(-fb - root) / (2 * fa), (-fb + root) / (2 * fa)})
+            return sorted(set(nearest_root_floats(a, b, c)))
     else:
         root = disc**0.5
     if disc == 0:
@@ -217,7 +234,9 @@ def ref_solve_on_line(base, direction, quadratics, tol, include_infinity):
     for other in roots_per_q[1:]:
         candidate_ts = [t for t in candidate_ts if any(ref_t_close(t, o) for o in other)]
     for t in candidate_ts:
-        cand = ref_settle([x + t * y for x, y in zip(base, direction)])
+        # the candidate at a float root lies on the exact line, rounded once
+        values = [x + Fraction(t) * y for x, y in zip(base, direction)]
+        cand = ref_settle(values if is_exact(t) else [float(x) for x in values])
         if cand is not None:
             solutions.append(cand)
     if include_infinity and all(ref_quad_ok(q, list(direction), tol) for q in quadratics):
