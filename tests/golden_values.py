@@ -29,9 +29,15 @@ whose root a ``pow``-based square root misses by one unit in the last
 place), on float quadruples with the signed zeros, and on exact ones
 whose coefficients lie beyond 2^+-1000; one input in six has k = 0 (a
 linear section, or none).  ``radius_sq`` follows on exact, float,
-mixed and large quadruples, one in six a line, and ``roots`` closes the
-list on float quadruples whose k, l and m are drawn one time in three
-from ``FLOAT_EXTREMES`` (+-1e300, 1e-300, 5e-324, +-inf, nan).  Inputs
+mixed and large quadruples, one in six a line, and ``roots`` follows on
+float quadruples whose k, l and m are drawn one time in three from
+``FLOAT_EXTREMES`` (+-1e300, 1e-300, 5e-324, +-inf, nan).  The last blocks
+run ``det_invariant``, ``radius_sq`` and ``focus`` on all-``int``, float,
+``Fraction``, mixed and ``bool`` quadruples, ``svgout.polyline`` on the
+kinds of coordinate that ``test_render_path.COORDS`` draws, and
+``render_svg`` on float hyperbola documents: determinant below and above
+zero, light cones (determinant exactly zero), tiny k, a centre beyond the
+viewport, and canvases 32 times taller or wider than the other side.  Inputs
 are drawn from ``random.Random(SEED)``, in that order, so blocks appended
 at the end leave the earlier ones unchanged.
 Each input and its outcome are written as a canonical text: every value
@@ -53,6 +59,7 @@ import hashlib
 import json
 import math
 import random
+import struct
 import sys
 import warnings
 from decimal import Decimal
@@ -86,7 +93,8 @@ from cyclekit import (
     subgroup_element,
     variational_distance_oracle,
 )
-from cyclekit.cycle import pencil
+from cyclekit.cycle import det_invariant, focus, pencil
+from cyclekit.svgout import CycleSetDocument, CycleStyle, polyline, render_svg
 
 MANIFEST = Path(__file__).with_name("golden_values.json")
 SEED = 20261019
@@ -414,6 +422,90 @@ def _radius_cycle(rng: random.Random, mode: str) -> CycleQuadruple:
     return _quadruple(comps)
 
 
+def _det_cycle(rng: random.Random, mode: str) -> CycleQuadruple:
+    """A quadruple for ``det_invariant`` whose components are all ``int`` (small, beyond 2^64 or an
+    ``IntEnum``), all float (one time in ten from ``FLOAT_EXTREMES``), all ``Fraction``, mixed or
+    ``bool`` (with an ``int`` one time in four)."""
+    if mode == "int":
+        pool = (lambda: rng.randint(-9, 9), lambda: int(_large(rng)), lambda: _sign(rng))
+        comps = [rng.choice(pool)() for _ in range(4)]
+    elif mode == "float":
+        comps = [
+            rng.choice(FLOAT_EXTREMES) if rng.random() < 0.1 else _linear_scalar(rng, "float")
+            for _ in range(4)
+        ]
+    elif mode == "Fraction":
+        comps = [Fraction(rng.choice((_exact, _large))(rng)) for _ in range(4)]
+    elif mode == "mixed":
+        comps = [rng.choice((_exact, _float, _large, lambda r: r.choice(EDGES["exact"])))(rng) for _ in range(4)]
+    else:
+        comps = [rng.randint(-3, 3) if rng.random() < 0.25 else rng.choice((True, False)) for _ in range(4)]
+    return _quadruple(comps)
+
+
+# the edge coordinates that test_render_path.COORDS samples
+EDGE_COORDINATES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308)
+POLYLINE_ATTRS = 'fill="none" stroke="#1f4e9c" stroke-width="0.017578125"'
+
+
+def _coordinate(rng: random.Random):
+    """A coordinate as ``test_render_path.COORDS`` draws one: any float (from 64 random bits, so
+    every exponent, +-inf and nan), an edge float, an ``int`` up to 10^300 or a ``Fraction``."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        return struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0]
+    if kind == 1:
+        return rng.choice(EDGE_COORDINATES + FLOAT_EXTREMES)
+    if kind == 2:
+        return rng.uniform(-10.0, 10.0)
+    if kind == 3:
+        return rng.randint(-(10**300), 10**300) if rng.random() < 0.5 else rng.randint(-9, 9)
+    if kind == 4:
+        return Fraction(rng.randint(-(10**12), 10**12), rng.randint(1, 10**9))
+    return rng.choice((-1.0, 1.0)) * 10.0 ** rng.randint(-20, 20) * rng.choice((1.0, 1.5, 1 / 3))
+
+
+HYPERBOLA_SHAPES = ("det < 0", "det > 0", "light cone", "tiny k", "vertex outside", "tall", "wide")
+
+
+def _viewport(rng: random.Random, shape: str) -> tuple:
+    """The default viewport, or one of random place and size, 32 times taller or wider for "tall" and "wide"."""
+    if shape in ("light cone", "tiny k", "vertex outside") or rng.random() < 0.5 and shape.startswith("det"):
+        return (-3.0, 3.0, -3.0, 3.0)
+    umin, vmin, side = rng.uniform(-10.0, 9.0), rng.uniform(-10.0, 9.0), rng.uniform(1e-3, 20.0)
+    width, height = {"tall": (side / 32, side), "wide": (side, side / 32)}.get(shape, (side, rng.uniform(1e-3, 20.0)))
+    return (umin, umin + width, vmin, vmin + height)
+
+
+def _hyperbola(rng: random.Random, shape: str, viewport: tuple) -> CycleQuadruple:
+    """A float hyperbola (u - uc)^2 - (v - vc)^2 = -det/k^2 of ``shape`` near ``viewport``.
+
+    Its centre (uc, vc) = (l/k, -n/k) lies near the viewport's centre, or beyond the viewport for
+    "vertex outside"; a light cone has dyadic components whose determinant is exactly 0.
+    """
+    if shape == "light cone":
+        k = rng.choice((1.0, -1.0, 2.0, -0.5, 4.0))
+        l, n = rng.randint(-32, 32) / 8, rng.randint(-32, 32) / 8
+        return CycleQuadruple(k, l, n, (l * l - n * n) / k)
+    if shape == "tiny k":
+        k = rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(-180.0, -6.0)
+        return CycleQuadruple(k, *(rng.uniform(-8.0, 8.0) for _ in range(3)))
+    umin, umax, vmin, vmax = viewport
+    size = max(umax - umin, vmax - vmin)
+    if shape == "vertex outside":
+        offsets = [rng.choice((-1, 1)) * rng.uniform(0.6, 5.0) * size for _ in range(2)]
+        offsets[rng.randrange(2)] *= rng.choice((0.0, 0.1, 1.0))
+    else:
+        offsets = [rng.uniform(-0.5, 0.5) * size for _ in range(2)]
+    uc, vc = (umin + umax) / 2 + offsets[0], (vmin + vmax) / 2 + offsets[1]
+    k = rng.choice((1.0, -1.0)) * rng.uniform(0.05, 8.0)
+    det = (k * rng.uniform(0.02, 0.6) * size) ** 2
+    if shape == "det < 0" or shape != "det > 0" and rng.random() < 0.5:
+        det = -det
+    l, n = k * uc, -k * vc
+    return CycleQuadruple(k, l, n, (det - n * n + l * l) / k)
+
+
 FOCUS_BRANCHES = (
     "double root",
     "negative leading coefficient",
@@ -573,6 +665,32 @@ def blocks() -> list[tuple[str, list[str]]]:
     cycles = [_roots_cycle(rng, "float extremes") for _ in range(BLOCK)]
     lines = [f"{_text(cycle)} -> {_outcome(roots, cycle)}" for cycle in cycles]
     out.append((f"roots float extremes 0-{BLOCK - 1}", lines))
+    for mode in ("int", "float", "Fraction", "mixed", "bool"):
+        lines = []
+        for _ in range(BLOCK):
+            cycle, ctx = _det_cycle(rng, mode), FSCcContext(_sign(rng), rng.choice((1, -1)))
+            outcomes = "; ".join(
+                _outcome(*call)
+                for call in ((det_invariant, cycle, ctx), (radius_sq, cycle, ctx), (focus, cycle, ctx.sigma_cycle))
+            )
+            lines.append(f"{_text([cycle, ctx])} -> {outcomes}")
+        out.append((f"det_invariant radius_sq focus {mode} 0-{BLOCK - 1}", lines))
+    for index in range(2):
+        lines = []
+        for _ in range(BLOCK):
+            points = [(_coordinate(rng), _coordinate(rng)) for _ in range(rng.randint(0, 20))]
+            lines.append(f"{_text(points)} -> {_outcome(polyline, points, POLYLINE_ATTRS)}")
+        first = index * BLOCK
+        out.append((f"polyline {first}-{first + BLOCK - 1}", lines))
+    for shape in HYPERBOLA_SHAPES:
+        lines = []
+        for _ in range(BLOCK):
+            viewport = _viewport(rng, shape)
+            quads = [_hyperbola(rng, shape, viewport) for _ in range(rng.randint(1, 3))]
+            cycles = [(quad, CycleStyle(dash=rng.random() < 0.25)) for quad in quads]
+            doc = CycleSetDocument(SpaceSign.HYPERBOLIC, cycles, [], viewport)
+            lines.append(f"{_text([quads, viewport])} -> {_outcome(render_svg, doc)}")
+        out.append((f"render_svg hyperbola {shape} 0-{BLOCK - 1}", lines))
     return out
 
 
