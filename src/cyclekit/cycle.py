@@ -196,13 +196,17 @@ def centre(cycle: CycleQuadruple, kind: SpaceSign) -> PointOrInfinity:
 def det_invariant(cycle: CycleQuadruple, ctx: FSCcContext) -> Scalar:
     """Determinant of the cycle matrix: sigma_cycle*n^2 - l^2 + m*k, as (i*s)^2 = sigma_cycle.
 
-    An exact quadruple is evaluated over its integer numerators
-    (``numbers.clear_denominators``) and divided once by the squared common
-    denominator (``numbers.from_numerators``); all four components are the
-    operands, since 0 * n keeps a ``Fraction`` n's type when sigma_cycle = 0.
-    A float anywhere evaluates the same polynomial on the given values.
+    All-``int`` components, or a float anywhere, evaluate the polynomial
+    on the given values.  A quadruple with a ``Fraction`` is evaluated over
+    its integer numerators (``numbers.clear_denominators``) and divided
+    once by the squared common denominator (``numbers.from_numerators``);
+    all four components are the operands, since 0 * n keeps a ``Fraction``
+    n's type when sigma_cycle = 0.
     """
     comps = cycle.components()
+    if not is_exact(*comps) or is_int(*comps):
+        k, l, n, m = comps
+        return int(ctx.sigma_cycle) * n * n - l * l + m * k
     ((k, l, n, m),), (den,) = clear_denominators(comps)
     (det,) = from_numerators((int(ctx.sigma_cycle) * n * n - l * l + m * k,), den * den, (comps,))
     return det

@@ -28,7 +28,7 @@ from .hypercomplex import SpaceSign
 from .moebius import INFINITY, Point, orbit_uv, subgroup_element
 from .numbers import fmt12, parse_scalars
 from .relations import common_inverse_point, ghost_cycle, invert_point, orthogonal_family, s_ghost
-from .svgout import CANVAS_PX, CycleSetDocument, CycleStyle, dot, polyline, render_svg, write_text
+from .svgout import CANVAS_PX, CycleSetDocument, CycleStyle, dot, flat_polyline, render_svg, write_text
 from .value import Value
 
 RED = "#c62828"
@@ -111,21 +111,30 @@ def _rotation_grid() -> tuple:
     return tuple(subgroup_element("K", t) for t in _orbit_parameters())
 
 
-def _polyline_runs(images, viewport) -> list[str]:
-    """Split (u, v) pairs into runs at None and at points far outside the viewport."""
+def _polyline_runs(images, viewport) -> list[list[float]]:
+    """Split (u, v) pairs at None and at points far outside the viewport into flat runs.
+
+    A run is [u0, v0, u1, v1, ...] with 0.0 added to each coordinate, as
+    ``polyline`` adds it, so that ``flat_polyline`` formats it as it is.
+    """
     umin, umax, vmin, vmax = viewport
     span_u = umax - umin
     span_v = vmax - vmin
-    runs: list[list[tuple[float, float]]] = [[]]
+    runs: list[list[float]] = []
+    run: list[float] = []
     for image in images:
-        if image is None or not (
-            umin - span_u < image[0] < umax + span_u and vmin - span_v < image[1] < vmax + span_v
-        ):
-            if runs[-1]:
-                runs.append([])
-            continue
-        runs[-1].append(image)
-    return [run for run in runs if len(run) >= 2]
+        if image is not None:
+            u, v = image
+            if umin - span_u < u < umax + span_u and vmin - span_v < v < vmax + span_v:
+                run.append(u + 0.0)
+                run.append(v + 0.0)
+                continue
+        if len(run) >= 4:
+            runs.append(run)
+        run = []
+    if len(run) >= 4:
+        runs.append(run)
+    return runs
 
 
 def _fig_k_orbits(params: dict[str, str]):
@@ -145,7 +154,7 @@ def _fig_k_orbits(params: dict[str, str]):
         for v0 in (0.5, 1.0, 2.0):
             # the kernel's (u, v) pairs go straight to the polylines, no Point per sample
             for run in _polyline_runs(orbit_uv(rotations, Point(0.0, v0), sigma), viewport):
-                extras.append(polyline(run, orbit_attrs))
+                extras.append(flat_polyline(run, orbit_attrs))
         doc = CycleSetDocument(sigma, cycles, [], viewport)
         comments = [f"rotation orbits in the {sigma.letter}-plane"]
         panels.append((sigma.letter, render_svg(doc, comments, extras)))
@@ -155,19 +164,20 @@ def _fig_k_orbits(params: dict[str, str]):
 def _fig_eph_cycle(params: dict[str, str]):
     quad = _param(params, "cycle", CycleQuadruple, "k,l,n,m", CycleQuadruple(2.0, 1.0, 2.0, 1.0))
     viewport = (-3.0, 4.0, -3.0, 3.0)
+    # the centres and foci do not depend on the panel's sign: every panel marks the same dots
+    extras = []
+    for kind, colour in zip(_SIGNS, (RED, ORANGE, GREEN)):
+        spot = centre(quad, kind)
+        if spot is not INFINITY:
+            extras.append(_extra_dot(spot, colour, viewport))
+        try:
+            f = focus(quad, kind)
+            extras.append(_extra_dot(f, colour, viewport, scale=2.0))
+        except FocusUndefined:
+            pass
     panels = []
     for sigma in _SIGNS:
         doc = CycleSetDocument(sigma, [(quad, CycleStyle(stroke=BLUE))], [], viewport)
-        extras = []
-        for kind, colour in zip(_SIGNS, (RED, ORANGE, GREEN)):
-            spot = centre(quad, kind)
-            if spot is not INFINITY:
-                extras.append(_extra_dot(spot, colour, viewport))
-            try:
-                f = focus(quad, kind)
-                extras.append(_extra_dot(f, colour, viewport, scale=2.0))
-            except FocusUndefined:
-                pass
         comments = [f"one quadruple drawn {sigma.letter}-style with centres and foci"]
         panels.append((sigma.letter, render_svg(doc, comments, extras)))
     return panels
@@ -179,13 +189,13 @@ def _fig_zero_radius(params: dict[str, str]):
     panels = []
     for sigma_cycle in _SIGNS:
         quad = zero_radius_cycle(at, FSCcContext(sigma_cycle, 1))
+        extras = []
+        try:
+            extras.append(_extra_dot(focus(quad, sigma_cycle), ORANGE, viewport, 2.0))
+        except FocusUndefined:
+            pass
         for sigma in _SIGNS:
             doc = CycleSetDocument(sigma, [(quad, CycleStyle(stroke=BLUE))], [], viewport)
-            extras = []
-            try:
-                extras.append(_extra_dot(focus(quad, sigma_cycle), ORANGE, viewport, 2.0))
-            except FocusUndefined:
-                pass
             comments = [
                 f"zero-radius for the {sigma_cycle.letter}-cycle-space drawn {sigma.letter}-style"
             ]

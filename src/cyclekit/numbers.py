@@ -17,14 +17,16 @@ operands (one common denominator per group, one ``Fraction`` per output)
 or over the float operands as given; ``relations.is_orthogonal`` and
 ``relations.is_s_orthogonal`` test the numerator alone, and
 ``moebius.orbit_uv`` clears the numerators of an exact point and of exact
-elements the same way.  These helpers run on every exact query, so
-``clear_denominators`` reads each operand once, in one plain loop that
-also finds the first float (a ``Fraction`` through ``as_integer_ratio()``,
-whose ``numerator`` and ``denominator`` are Python-level properties, an
-``int`` through its numerator), and skips the ``lcm`` of a group whose
-denominators are all 1; ``cycle.normalized_key`` and
-``relations.is_s_orthogonal`` build only the outputs they return or
-test.  The constraint solver and
+elements the same way; ``cycle.det_invariant`` uses them only when a
+``Fraction`` is among its operands (``is_exact`` and ``is_int`` send a
+float or an all-``int`` quadruple straight to the polynomial).  These
+helpers run on every exact query, so ``clear_denominators`` reads each
+operand once, in one plain loop that also finds the first float (a
+``Fraction`` through ``as_integer_ratio()``, whose ``numerator`` and
+``denominator`` are Python-level properties, an ``int`` through its
+numerator), and skips the ``lcm`` of a group whose denominators are all
+1; ``cycle.normalized_key`` and ``relations.is_s_orthogonal`` build only
+the outputs they return or test.  The constraint solver and
 ``cycle.roots`` work over integer numerators in both modes: ``exact_values``
 reads a float scalar as the ``Fraction`` of its own value, ``rounded``
 rounds each output once, and ``quadratic_roots`` is the one root rule,

@@ -23,6 +23,7 @@ import math
 import os
 import re
 import stat
+from bisect import bisect_left, bisect_right
 
 from .cycle import CycleQuadruple, FSCcContext, centre, radius_sq
 from .errors import CycleKitError, Degenerate, DocumentError
@@ -349,10 +350,11 @@ def _hyperbola_polylines(
     vbox = (vmin - span - v0, vmax + span - v0)
     if det < 0:  # the branches open along u: sample v and solve for u
         runs = _hyperbola_runs(k, -n, -l, -m, -det, vbox, ubox, v0, u0)
-        runs = [[(u, v) for v, u in run] for run in runs]
+        for run in runs:
+            run[0::2], run[1::2] = run[1::2], run[0::2]
     else:
         runs = _hyperbola_runs(k, l, n, m, det, ubox, vbox, u0, v0)
-    return [polyline(run, attrs) for run in runs] or ["<!-- empty hyperbolic locus -->"]
+    return [flat_polyline(run, attrs) for run in runs] or ["<!-- empty hyperbolic locus -->"]
 
 
 def _recentred(k: float, l: float, n: float, m: float, u0: float, v0: float):
@@ -377,7 +379,7 @@ def _recentred(k: float, l: float, n: float, m: float, u0: float, v0: float):
     return (*(x / scale for x in quad), (n * n - l * l + m * k) / (scale * scale))
 
 
-def _hyperbola_runs(k, l, n, m, det, sbox, wbox, s0, w0) -> list[list[tuple[float, float]]]:
+def _hyperbola_runs(k, l, n, m, det, sbox, wbox, s0, w0) -> list[list[float]]:
     """The runs of k(s^2 - w^2) - 2ls - 2nw + m = 0 in sbox x wbox, for det >= 0, moved by (s0, w0).
 
     det = n^2 - l^2 + mk >= 0 makes the branches open along w: the
@@ -388,7 +390,14 @@ def _hyperbola_runs(k, l, n, m, det, sbox, wbox, s0, w0) -> list[list[tuple[floa
     edges.  Both are sampled at s = c +- h (j/N)^2 for |j| < N, where c
     is the vertex s = l/k moved into the clipped span and h reaches its
     farther end, so the samples crowd toward the vertex, where the
-    curvature is greatest.
+    curvature is greatest.  Every sample is solved once for the w of
+    both branches, by the formula of ``_root_pairs``, with no tuple per
+    sample.  The samples ascend, so the interior of a branch is the slice
+    of them strictly between its clipped ends (``bisect``).  A run is
+    flat, [s, w, s, w, ...] moved by (s0, w0), the viewport's centre:
+    that sum is -0.0 only when both terms are, and the centre of a
+    viewport with umin < umax is never -0.0, so ``flat_polyline`` takes a
+    run as it is.
     """
     s_lo, s_hi = sbox
     w_lo, w_hi = wbox
@@ -401,7 +410,7 @@ def _hyperbola_runs(k, l, n, m, det, sbox, wbox, s0, w0) -> list[list[tuple[floa
             lo, hi = sorted((sign * (w_lo - b), sign * (w_hi - b)))
             a, c = max(s_lo, lo), min(s_hi, hi)
             if a < c:
-                runs.append([(a + s0, sign * a + b + w0), (c + s0, sign * c + b + w0)])
+                runs.append([a + s0, sign * a + b + w0, c + s0, sign * c + b + w0])
         return runs
 
     def crossing(c, side):  # the s where branch side meets w = c, ascending, or None
@@ -429,19 +438,25 @@ def _hyperbola_runs(k, l, n, m, det, sbox, wbox, s0, w0) -> list[list[tuple[floa
     c = min(max(l / k, lo), hi)
     h = max(c - lo, hi - c)
     ts = [c - h * g for g in reversed(_GRADES)] + [c] + [c + h * g for g in _GRADES]
-    ends = [x for _, a, b in pieces for x in (a, b)]
-    ss = ts + ends
-    l2 = 2.0 * l
-    ws = _root_pairs(k, -n, [(-(s * (k * s - l2) + m), (k * s - l) * (k * s - l) + det) for s in ss])
-    samples = list(zip(ts, ws))
+    ss = ts + [x for _, a, b in pieces for x in (a, b)]
+    # the roots of k w^2 + 2nw - (s(ks - 2l) + m) = 0 as _root_pairs(k, -n, ...)
+    # gives them; det > 0 makes sqrt(D) > 0, so q is never 0
+    sign, l2 = math.copysign(1.0, -n), 2.0 * l
+    qs = [-n + sign * math.sqrt((k * s - l) * (k * s - l) + det) for s in ss]
+    outer = [q / k + w0 for q in qs]
+    inner = [-(s * (k * s - l2) + m) / q + w0 for s, q in zip(ss, qs)]
+    lows, highs = (inner, outer) if sign > 0 else (outer, inner)
+    moved = [s + s0 for s in ss]
     runs = []
-    for index, (side, a, b) in enumerate(pieces):
-        first, last = ws[len(ts) + 2 * index], ws[len(ts) + 2 * index + 1]
-        runs.append(
-            [(a + s0, first[side] + w0)]
-            + [(s + s0, pair[side] + w0) for s, pair in samples if a < s < b]
-            + [(b + s0, last[side] + w0)]
-        )
+    edge = len(ts)  # where the clipped ends of the piece are in ss
+    for side, a, b in pieces:
+        ws = highs if side else lows
+        first, last = bisect_right(ts, a), bisect_left(ts, b)
+        run = [0.0] * (2 * (last - first + 2))
+        run[0::2] = [moved[edge], *moved[first:last], moved[edge + 1]]
+        run[1::2] = [ws[edge], *ws[first:last], ws[edge + 1]]
+        runs.append(run)
+        edge += 2
     return runs
 
 
@@ -472,12 +487,22 @@ def dot(u: Scalar, v: Scalar, r: float, colour: str) -> str:
 def polyline(points, attrs: str) -> str:
     """A <polyline> through (u, v) points, each coordinate formatted as by fmt12.
 
-    Adding 0.0 turns -0.0 into 0.0 and converts int and Fraction
-    coordinates to float, leaving every other value unchanged.
+    The points are flattened with 0.0 added to each coordinate, which
+    turns -0.0 into 0.0 and converts int and Fraction coordinates to
+    float, leaving every other value unchanged, and ``flat_polyline``
+    formats them.
     """
-    coords = tuple([x + 0.0 for point in points for x in point])
+    return flat_polyline([x + 0.0 for point in points for x in point], attrs)
+
+
+def flat_polyline(coords: list[float], attrs: str) -> str:
+    """A <polyline> through the flat run [u0, v0, u1, v1, ...] of floats, none of them -0.0.
+
+    Each coordinate is formatted by "%.12g", as fmt12 formats a float
+    that is not -0.0, all in one ``%``.
+    """
     template = " ".join(["%.12g,%.12g"] * (len(coords) // 2))
-    return f'<polyline points="{template % coords}" {attrs}/>'
+    return f'<polyline points="{template % tuple(coords)}" {attrs}/>'
 
 
 def write_text(path: str, text: str) -> None:

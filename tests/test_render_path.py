@@ -73,8 +73,8 @@ def viewports(draw):
     return (umin, umin + draw(st.floats(1e-3, 20.0)), vmin, vmin + draw(st.floats(1e-3, 20.0)))
 
 
-def hyperbola_runs(k, l, n, m, viewport):
-    """The polylines of ``_hyperbola_polylines`` as lists of exact (u, v) points."""
+def hyperbola_texts(k, l, n, m, viewport):
+    """The polylines of ``_hyperbola_polylines`` as lists of (u, v) coordinate texts."""
     doc = CycleSetDocument(SpaceSign.HYPERBOLIC, [], [], viewport)
     elements = _hyperbola_polylines(k, l, n, m, doc, ATTRS)
     if elements == ["<!-- empty hyperbolic locus -->"]:
@@ -82,9 +82,13 @@ def hyperbola_runs(k, l, n, m, viewport):
     runs = []
     for element in elements:
         assert element.startswith('<polyline points="') and element.endswith(f'" {ATTRS}/>')
-        pairs = element.split('"')[1].split()
-        runs.append([tuple(Fraction(x) for x in pair.split(",")) for pair in pairs])
+        runs.append([tuple(pair.split(",")) for pair in element.split('"')[1].split()])
     return runs
+
+
+def hyperbola_runs(k, l, n, m, viewport):
+    """The polylines of ``_hyperbola_polylines`` as lists of exact (u, v) points."""
+    return [[tuple(map(Fraction, pair)) for pair in run] for run in hyperbola_texts(k, l, n, m, viewport)]
 
 
 def distance_to_curve(k, l, n, m, u, v):
@@ -126,6 +130,8 @@ def least_root(q, g, f):
 def assert_hyperbola_drawn(k, l, n, m, viewport, covered=True):
     """The drawing of the hyperbola (k, l, n, m) on the viewport is sound and complete.
 
+    * No coordinate reads -0: the sampler's runs skip the 0.0 that
+      ``polyline`` adds to turn -0.0 into 0.0, so none may be -0.0.
     * Every vertex lies on the curve to within 0.1 px, allowing for the
       12-digit formatting of large coordinates.
     * No polyline ends inside the viewport: each run ends where the curve
@@ -142,7 +148,9 @@ def assert_hyperbola_drawn(k, l, n, m, viewport, covered=True):
     """
     umin, umax, vmin, vmax = viewport
     px = (umax - umin) / CANVAS_PX
-    runs = hyperbola_runs(k, l, n, m, viewport)
+    texts = hyperbola_texts(k, l, n, m, viewport)
+    assert not any(x == "-0" for run in texts for pair in run for x in pair), "a coordinate reads -0"
+    runs = [[tuple(map(Fraction, pair)) for pair in run] for run in texts]
     for run in runs:
         assert len(run) >= 2
         for u, v in run:
