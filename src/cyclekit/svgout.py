@@ -25,7 +25,7 @@ import re
 import stat
 from bisect import bisect_left, bisect_right
 
-from .cycle import CycleQuadruple, FSCcContext, centre, radius_sq
+from .cycle import CycleQuadruple, FSCcContext, centre, det_invariant, radius_sq
 from .errors import CycleKitError, Degenerate, DocumentError
 from .hypercomplex import SpaceSign
 from .numbers import Scalar, fmt12, parse_scalar, scalar_to_json
@@ -212,9 +212,10 @@ def render_svg(
             f'<line x1="0" y1="{fmt12(vmin)}" x2="0" y2="{fmt12(vmax)}" '
             f'stroke="#bbbbbb" stroke-width="{axis_w}"/>'
         )
+    ctx = FSCcContext(doc.sigma, 1)
     try:
         for quad, style in doc.cycles:
-            out.extend(_cycle_elements(quad, style, doc, stroke_w, dot_r))
+            out.extend(_cycle_elements(quad, style, doc, ctx, stroke_w, dot_r))
     except (ZeroDivisionError, OverflowError) as exc:
         raise CycleKitError(f"the cycle geometry leaves the float range ({exc})") from exc
     for u, v in doc.points:
@@ -245,9 +246,17 @@ def _cycle_elements(
     quad: CycleQuadruple,
     style: CycleStyle,
     doc: CycleSetDocument,
+    ctx: FSCcContext,
     stroke_w: float,
     dot_r: float,
 ) -> list[str]:
+    """The elements of one cycle; ``ctx`` is the document's FSCcContext(sigma, 1).
+
+    The radius is zero where the determinant is, which ``det_invariant``
+    decides exactly for an exact quadruple and without dividing by k^2,
+    which underflows for |k| below about 1e-162.  Only the elliptic circle
+    needs its radius from ``radius_sq``.
+    """
     if quad.is_degenerate():
         raise Degenerate("quadruple (0,0,0,m) has no locus to draw")
     sigma = doc.sigma
@@ -257,8 +266,8 @@ def _cycle_elements(
     m = float(quad.m)
     attrs = _stroke_attrs(style, stroke_w)
     elements: list[str] = []
-    r_sq = float(radius_sq(quad, FSCcContext(sigma, 1))) if k != 0 else None
-    if r_sq == 0.0:
+    det = det_invariant(quad, ctx)
+    if k != 0 and det == 0:
         elements.append(dot(*centre(quad, sigma), dot_r, style.stroke))
         if sigma == SpaceSign.ELLIPTIC:
             return elements
@@ -266,14 +275,13 @@ def _cycle_elements(
         elements.extend(_line_elements(l, n, m, doc, attrs))
         return elements
     if sigma == SpaceSign.ELLIPTIC:
-        if r_sq < 0:
+        if det > 0:
             elements.append("<!-- empty elliptic locus -->")
-            return elements
-        if r_sq > 0:
+        elif det < 0:
             c = centre(quad, SpaceSign.ELLIPTIC)
             elements.append(
                 f'<circle cx="{fmt12(float(c.u))}" cy="{fmt12(float(c.v))}" '
-                f'r="{fmt12(math.sqrt(r_sq))}" {attrs}/>'
+                f'r="{fmt12(math.sqrt(float(radius_sq(quad, ctx))))}" {attrs}/>'
             )
         return elements
     if sigma == SpaceSign.PARABOLIC:

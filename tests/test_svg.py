@@ -2,10 +2,11 @@ import json
 import math
 import os
 import xml.dom.minidom
+from fractions import Fraction
 
 import pytest
 
-from cyclekit import CycleQuadruple, Degenerate, SpaceSign
+from cyclekit import CycleKitError, CycleQuadruple, Degenerate, SpaceSign
 from cyclekit.figures import RECIPE_NAMES, FigureRecipe, run_figure
 from cyclekit.svgout import (
     CycleSetDocument,
@@ -80,6 +81,29 @@ def test_zero_radius_dot():
     assert 'cx="1" cy="2"' in svg and 'fill="#aa0000"' in svg
 
 
+
+@pytest.mark.parametrize("k", [1e-150, 1e-170, Fraction(1, 10**170)])
+def test_a_cycle_with_tiny_k_is_drawn_in_p_and_h(k):
+    """k^2 underflows below about 1e-162, so the radius is zero by the determinant, not by radius_sq.
+
+    P draws the parabola and H the hyperbola; E needs the circle's
+    radius, about 1e170, and reports that it leaves the float range.
+    """
+    if isinstance(k, float):
+        quad = CycleQuadruple(k, 1.0, 0.5, 0.3)
+    else:
+        quad = CycleQuadruple(k, 1, Fraction(1, 2), Fraction(3, 10))
+    for sigma, element in ((P, "<path"), (H, "<polyline")):
+        svg = render_svg(CycleSetDocument(sigma, [(quad, CycleStyle())], [], (-3.0, 3.0, -3.0, 3.0)))
+        assert element in svg and "<circle" not in svg
+        xml.dom.minidom.parseString(svg)
+    doc = CycleSetDocument(E, [(quad, CycleStyle())], [], (-3.0, 3.0, -3.0, 3.0))
+    if k == 1e-150:
+        assert '<circle cx="1e+150" cy="5e+149" r="1.11803398875e+150"' in render_svg(doc)
+    else:
+        with pytest.raises(CycleKitError, match="^the cycle geometry leaves the float range"):
+            render_svg(doc)
+
 @pytest.mark.parametrize("sigma, comment", [(E, "empty elliptic locus"), (P, "empty parabolic locus")])
 def test_a_locus_with_no_real_point_is_an_svg_comment(sigma, comment):
     quad = CycleQuadruple(1.0, 0.0, 0.0, 1.0)  # u^2 - sigma v^2 = -1: no point for sigma = -1 or 0
@@ -127,8 +151,6 @@ def test_json_roundtrip_with_fraction_strings():
         }
     )
     doc = parse_document(text, exact=True)
-    from fractions import Fraction
-
     assert doc.cycles[0][0].l == Fraction(1, 2)
     assert doc.cycles[0][1].dash is True
     back = json.loads(document_to_json(doc))
