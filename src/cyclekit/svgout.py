@@ -7,10 +7,12 @@ sampled in the coordinate across the direction its branches open, over
 which each branch is a graph with no vertical tangent, and solved for
 the other coordinate with the cancellation-free root pairs of
 ``_root_pairs``.  Each branch is clipped exactly to u in the viewport and
-v within one viewport height of it, and gets at most HYPERBOLA_SAMPLES
-points, crowded toward its vertex; the light cone (zero radius) is two
-straight segments.  The sampler uses only + - * / and ``math.sqrt``, no
-libm call whose rounding varies by platform.  All numbers are formatted
+v within one viewport height of it, and gets points crowded toward its
+vertex: as few as keep every chord within 1/16 of a canvas pixel of the
+curve by the chord error bound h^2 max|f''|/8, and at most
+HYPERBOLA_SAMPLES; the light cone (zero radius) is two straight segments.
+The sampler uses only + - * / and ``math.sqrt``, no libm call whose
+rounding varies by platform.  All numbers are formatted
 to at most 12 significant digits with "-0" normalised, so a given
 document always renders to identical bytes.  ``write_text`` is the one
 writer of every file the package writes.
@@ -33,10 +35,12 @@ from .value import Value
 
 CANVAS_PX = 512.0
 HYPERBOLA_SAMPLES = 160
-# (j/N)^2 for 0 < j < N: a branch gets 2N - 1 samples and at most four
-# clipped ends, no more than HYPERBOLA_SAMPLES points in all
+# A hyperbola is sampled at the grades (j/N)^2 for |j| < N, with the least
+# N <= _STEPS whose chords lie within _CHORD_PX canvas pixels of the curve:
+# a branch gets 2N - 1 samples and at most four clipped ends, no more than
+# HYPERBOLA_SAMPLES points in all
 _STEPS = (HYPERBOLA_SAMPLES - 3) // 2
-_GRADES = tuple(j * j / (_STEPS * _STEPS) for j in range(1, _STEPS))
+_CHORD_PX = 1.0 / 16.0
 DEFAULT_STROKE = "#1f4e9c"
 
 # "%.12g" writes a non-finite float as inf, -inf or nan.  Numbers appear only
@@ -356,12 +360,13 @@ def _hyperbola_polylines(
     k, l, n, m, det = _recentred(k, l, n, m, u0, v0)
     ubox = (umin - u0, umax - u0)
     vbox = (vmin - span - v0, vmax + span - v0)
+    tol = _CHORD_PX * (umax - umin) / CANVAS_PX  # pixels are square
     if det < 0:  # the branches open along u: sample v and solve for u
-        runs = _hyperbola_runs(k, -n, -l, -m, -det, vbox, ubox, v0, u0)
+        runs = _hyperbola_runs(k, -n, -l, -m, -det, vbox, ubox, v0, u0, tol)
         for run in runs:
             run[0::2], run[1::2] = run[1::2], run[0::2]
     else:
-        runs = _hyperbola_runs(k, l, n, m, det, ubox, vbox, u0, v0)
+        runs = _hyperbola_runs(k, l, n, m, det, ubox, vbox, u0, v0, tol)
     return [flat_polyline(run, attrs) for run in runs] or ["<!-- empty hyperbolic locus -->"]
 
 
@@ -387,7 +392,7 @@ def _recentred(k: float, l: float, n: float, m: float, u0: float, v0: float):
     return (*(x / scale for x in quad), (n * n - l * l + m * k) / (scale * scale))
 
 
-def _hyperbola_runs(k, l, n, m, det, sbox, wbox, s0, w0) -> list[list[float]]:
+def _hyperbola_runs(k, l, n, m, det, sbox, wbox, s0, w0, tol) -> list[list[float]]:
     """The runs of k(s^2 - w^2) - 2ls - 2nw + m = 0 in sbox x wbox, for det >= 0, moved by (s0, w0).
 
     det = n^2 - l^2 + mk >= 0 makes the branches open along w: the
@@ -398,10 +403,12 @@ def _hyperbola_runs(k, l, n, m, det, sbox, wbox, s0, w0) -> list[list[float]]:
     edges.  Both are sampled at s = c +- h (j/N)^2 for |j| < N, where c
     is the vertex s = l/k moved into the clipped span and h reaches its
     farther end, so the samples crowd toward the vertex, where the
-    curvature is greatest.  Every sample is solved once for the w of
-    both branches, by the formula of ``_root_pairs``, with no tuple per
-    sample.  The samples ascend, so the interior of a branch is the slice
-    of them strictly between its clipped ends (``bisect``).  A run is
+    curvature is greatest; ``_steps`` picks the least N <= _STEPS whose
+    chords lie within tol of the curve; a clipped end only shortens a
+    chord.  Every sample is solved once for the w of both branches, by
+    the formula of ``_root_pairs``, with no tuple per sample.  The samples
+    ascend, so the interior of a branch is the slice of them strictly
+    between its clipped ends (``bisect``).  A run is
     flat, [s, w, s, w, ...] moved by (s0, w0), the viewport's centre:
     that sum is -0.0 only when both terms are, and the centre of a
     viewport with umin < umax is never -0.0, so ``flat_polyline`` takes a
@@ -445,7 +452,9 @@ def _hyperbola_runs(k, l, n, m, det, sbox, wbox, s0, w0) -> list[list[float]]:
     hi = max(y for _, _, y in pieces)
     c = min(max(l / k, lo), hi)
     h = max(c - lo, hi - c)
-    ts = [c - h * g for g in reversed(_GRADES)] + [c] + [c + h * g for g in _GRADES]
+    steps = _steps(abs(k), abs(k * c - l), det, h, tol)
+    grades = [j * j / (steps * steps) for j in range(1, steps)]
+    ts = [c - h * g for g in reversed(grades)] + [c] + [c + h * g for g in grades]
     ss = ts + [x for _, a, b in pieces for x in (a, b)]
     # the roots of k w^2 + 2nw - (s(ks - 2l) + m) = 0 as _root_pairs(k, -n, ...)
     # gives them; det > 0 makes sqrt(D) > 0, so q is never 0
@@ -466,6 +475,51 @@ def _hyperbola_runs(k, l, n, m, det, sbox, wbox, s0, w0) -> list[list[float]]:
         runs.append(run)
         edge += 2
     return runs
+
+
+def _steps(k: float, a: float, det: float, h: float, tol: float) -> int:
+    """The least N <= _STEPS for which every chord of the grading c +- h (j/N)^2 lies within tol of the curve.
+
+    A branch k w + n = +-sqrt(D), D = (ks - l)^2 + det > 0, curves by
+    |w''| = |k| det / D^(3/2), which falls as s leaves the vertex l/k;
+    here k stands for |k|, and a = |kc - l| is where the grading starts.
+    The chord from (j/N)^2 to ((j + 1)/N)^2, of length h (2j + 1)/N^2,
+    lies within |w''| h^2 (2j + 1)^2 / (8 N^4) of the curve (de Boor, A
+    Practical Guide to Splines, ch. II), with |w''| at the chord's end
+    nearer c, where it is largest.  The search starts where the bound of
+    the vertex chord, or of the others with (2j + 1)^2 taken as 4 j^2 at
+    the worst j/N, meets tol, and steps down while N - 1 fits or up until
+    N fits.  Only + - * / and ``math.sqrt`` decide N, so it does not
+    depend on the platform's libm.
+    """
+    if not tol > 0:  # a viewport narrower than 512 subnormal floats
+        return _STEPS
+    gain = k * det * h * h / (8.0 * tol)  # chord j fits if gain (2j + 1)^2 <= N^4 D^(3/2)
+
+    def fits(steps: int) -> bool:
+        square = steps * steps
+        for j in range(steps):
+            x = a + k * h * (j * j / square)
+            d = x * x + det
+            if not gain * (2 * j + 1) * (2 * j + 1) <= square * square * d * math.sqrt(d):
+                return False
+        return True
+
+    # t^2 / D^(3/2), t = j/N, peaks where 2x^2 - 3ax - det = 0, x = a + k h t^2
+    d0 = a * a + det
+    x = a + min((math.sqrt(9.0 * a * a + 8.0 * det) - a) / 4.0, k * h)
+    d = x * x + det
+    need = max(math.sqrt(gain / d0 / math.sqrt(d0)), det * h * (x - a) / (2.0 * tol) / d / math.sqrt(d))
+    steps = max(1, math.ceil(math.sqrt(need))) if need < _STEPS * _STEPS else _STEPS
+    if fits(steps):
+        while steps > 1 and fits(steps - 1):
+            steps -= 1
+        return steps
+    while steps < _STEPS:
+        steps += 1
+        if fits(steps):
+            break
+    return steps
 
 
 def _root_pairs(a: float, b: float, terms) -> list[tuple[float, float]]:

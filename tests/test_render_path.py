@@ -3,8 +3,9 @@
 ``polyline`` must format every coordinate exactly as ``fmt12`` does, as
 the per-point formatting it replaced did.  The hyperbola sampler is
 checked against the curve itself: every vertex on it, no polyline end
-inside the viewport, a bounded number of points per branch, and every
-crossing of the curve with a grid of lines covered by the drawing.
+inside the viewport, a bounded number of points per branch, every
+crossing of the curve with a grid of lines covered by the drawing, and
+every chord within 1/16 px of the curve.
 """
 
 import math
@@ -143,7 +144,7 @@ def assert_hyperbola_drawn(k, l, n, m, viewport, covered=True):
     * With ``covered``, the curve's crossings of 15 vertical and 15
       horizontal lines through the viewport each lie within 0.5 px of a
       drawn segment, in pixels of the viewport's longer side: a branch
-      has a fixed number of samples, however tall the canvas.  The
+      has at most a fixed number of samples, however tall the canvas.  The
       crossings are found in floats, so tiny k is left out.
     """
     umin, umax, vmin, vmax = viewport
@@ -221,6 +222,40 @@ def segment_distance(point, p, q):
 @example(1.0, 0.0, 0.0, 1.6440408103807988e-126, (0.0, 1.0, 0.0, 1.0))  # vertex by the centre
 def test_hyperbola_is_drawn_on_the_curve_to_the_clip_box(k, l, n, m, viewport):
     assert_hyperbola_drawn(k, l, n, m, viewport)
+
+
+def chord_gaps(k, l, n, m, viewport):
+    """The distance to the curve, in pixels of the viewport's longer side, of points on every drawn chord.
+
+    Each chord is measured at a quarter, half and three quarters of its
+    length by ``distance_to_curve``, exactly from the formatted vertices.
+    """
+    long_px = max(viewport[1] - viewport[0], viewport[3] - viewport[2]) / CANVAS_PX
+    return [
+        (distance_to_curve(k, l, n, m, u + t * (x - u), v + t * (y - v)) / long_px, (u, v), (x, y))
+        for run in hyperbola_runs(k, l, n, m, viewport)
+        for (u, v), (x, y) in zip(run, run[1:])
+        for t in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
+    ]
+
+
+# the hyperbolas of the figure recipes at their default parameters
+@given(NONZERO, COMPONENT, COMPONENT, COMPONENT, viewports())
+@example(0.675463180551151, -0.7373937155412457, 0.0, -0.675463180551151, (-3.0, 3.0, -3.0, 3.0))  # fig-k-orbits
+@example(0.9995736030415053, -0.02919952230128897, 0.0, -0.9995736030415053, (-3.0, 3.0, -3.0, 3.0))
+@example(0.7173560908995228, 0.6967067093471655, 0.0, -0.7173560908995228, (-3.0, 3.0, -3.0, 3.0))
+@example(-0.7173560908995228, 0.6967067093471655, 0.0, 0.7173560908995228, (-3.0, 3.0, -3.0, 3.0))
+@example(-0.9995736030415053, -0.02919952230128897, 0.0, 0.9995736030415053, (-3.0, 3.0, -3.0, 3.0))
+@example(-0.675463180551151, -0.7373937155412457, 0.0, 0.675463180551151, (-3.0, 3.0, -3.0, 3.0))
+@example(2.0, 1.0, 2.0, 1.0, (-3.0, 4.0, -3.0, 3.0))  # fig-eph-cycle
+@example(1.0, 0.5, 1.0, 1.25, (-2.0, 3.0, -2.0, 3.0))  # fig-zero-radius
+@example(1.0, 0.5, 1.0, 0.25, (-2.0, 3.0, -2.0, 3.0))
+@example(1.0, 0.5, 1.0, -0.75, (-2.0, 3.0, -2.0, 3.0))
+def test_every_chord_lies_within_a_sixteenth_of_a_pixel_of_the_hyperbola(k, l, n, m, viewport):
+    """The sampler bounds each chord's sagitta by 1/16 px where a branch needs fewer than its
+    cap of steps; on a canvas taller than wide the cap binds first, so the pixel is the longer side's."""
+    gap, p, q = max(chord_gaps(k, l, n, m, viewport), default=(0.0, None, None))
+    assert gap <= 1 / 16, f"the chord {p}-{q} is {gap:.3f} px off"
 
 
 @given(NONZERO, COMPONENT, COMPONENT, viewports())

@@ -9,6 +9,8 @@ import pytest
 from cyclekit import CycleKitError, CycleQuadruple, Degenerate, SpaceSign
 from cyclekit.figures import RECIPE_NAMES, FigureRecipe, run_figure
 from cyclekit.svgout import (
+    CANVAS_PX,
+    HYPERBOLA_SAMPLES,
     CycleSetDocument,
     CycleStyle,
     document_to_json,
@@ -60,7 +62,13 @@ def test_parabola_is_quadratic_bezier():
 
 
 def test_hyperbola_sampling_density():
+    """Every chord lies within 1/16 px of the curve, and no branch has more than HYPERBOLA_SAMPLES points.
+
+    The distance from a point of a chord to F = u^2 - v^2 + m = 0 is
+    |F|/|grad F| to first order, and the chords lie well within a pixel.
+    """
     # u^2 - v^2 = 1 opens along u (R > 0), u^2 - v^2 = -1 along v (R < 0)
+    px = 6.0 / CANVAS_PX
     for m in (-1.0, 1.0):
         doc = CycleSetDocument(
             H, [(CycleQuadruple(1.0, 0.0, 0.0, m), CycleStyle())], [], (-3.0, 3.0, -3.0, 3.0)
@@ -70,7 +78,12 @@ def test_hyperbola_sampling_density():
         for line in svg.splitlines():
             if "<polyline" in line:
                 coords = line.split('points="')[1].split('"')[0].split()
-                assert len(coords) >= 128
+                assert len(coords) <= HYPERBOLA_SAMPLES
+                points = [tuple(map(float, pair.split(","))) for pair in coords]
+                for (u1, v1), (u2, v2) in zip(points, points[1:]):
+                    for t in (0.25, 0.5, 0.75):
+                        u, v = u1 + t * (u2 - u1), v1 + t * (v2 - v1)
+                        assert abs(u * u - v * v + m) / (2.0 * math.hypot(u, v)) <= px / 16
 
 
 def test_zero_radius_dot():
