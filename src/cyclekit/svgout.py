@@ -8,14 +8,14 @@ which each branch is a graph with no vertical tangent, and solved for
 the other coordinate with the cancellation-free root pairs of
 ``_root_pairs``.  Each branch is clipped exactly to u in the viewport and
 v within one viewport height of it, and gets points crowded toward its
-vertex: as few as keep every chord within 1/16 of a canvas pixel of the
-curve by the chord error bound h^2 max|f''|/8, and at most
+vertex: as few as keep every chord, of length L, within 1/16 of a canvas
+pixel of the curve by the bound L^2 max|f''|/8, and at most
 HYPERBOLA_SAMPLES; the light cone (zero radius) is two straight segments.
 The sampler uses only + - * / and ``math.sqrt``, no libm call whose
-rounding varies by platform.  All numbers are formatted
-to at most 12 significant digits with "-0" normalised, so a given
-document always renders to identical bytes.  ``write_text`` is the one
-writer of every file the package writes.
+rounding varies by platform.  All numbers are formatted to at most 12
+significant digits with "-0" normalised, so a given document always
+renders to identical bytes.  ``write_text`` is the one writer of every
+file the package writes.
 """
 
 from __future__ import annotations

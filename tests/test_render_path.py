@@ -239,8 +239,8 @@ def chord_gaps(k, l, n, m, viewport):
     ]
 
 
-# the hyperbolas of the figure recipes at their default parameters
 @given(NONZERO, COMPONENT, COMPONENT, COMPONENT, viewports())
+# the ten hyperbolas of the figure recipes at their default parameters
 @example(0.675463180551151, -0.7373937155412457, 0.0, -0.675463180551151, (-3.0, 3.0, -3.0, 3.0))  # fig-k-orbits
 @example(0.9995736030415053, -0.02919952230128897, 0.0, -0.9995736030415053, (-3.0, 3.0, -3.0, 3.0))
 @example(0.7173560908995228, 0.6967067093471655, 0.0, -0.7173560908995228, (-3.0, 3.0, -3.0, 3.0))
@@ -323,6 +323,15 @@ def test_hyperbola_touching_the_viewport_at_its_vertices_draws_nothing():
     k, n, m, viewport = 1.0, 0.0, l * l - 1 / 16, (1e8, 1e8 + 1, -1.0, 1.0)
     assert Fraction(l) ** 2 - Fraction(m) == Fraction(1, 4)
     assert hyperbola_runs(k, l, n, m, viewport) == []
+
+
+def test_a_viewport_whose_pixel_underflows_is_drawn():
+    """A viewport 5e-324 wide has a pixel of 0.0, which no chord bound can meet: the sampler takes the cap."""
+    for quad in ((1.0, 0.0, 1.0, 0.0), (1.0, -1.0, 0.0, 0.0)):
+        doc = CycleSetDocument(
+            SpaceSign.HYPERBOLIC, [(CycleQuadruple(*quad), CycleStyle())], [], (0.0, 5e-324, 0.0, 5e-324)
+        )
+        assert "<polyline" in render_svg(doc)
 
 
 NON_FINITE = re.compile(r"(?<![A-Za-z])(nan|inf)(?![A-Za-z])")

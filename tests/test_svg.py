@@ -94,7 +94,6 @@ def test_zero_radius_dot():
     assert 'cx="1" cy="2"' in svg and 'fill="#aa0000"' in svg
 
 
-
 @pytest.mark.parametrize("k", [1e-150, 1e-170, Fraction(1, 10**170)])
 def test_a_cycle_with_tiny_k_is_drawn_in_p_and_h(k):
     """k^2 underflows below about 1e-162, so the radius is zero by the determinant, not by radius_sq.
@@ -116,6 +115,7 @@ def test_a_cycle_with_tiny_k_is_drawn_in_p_and_h(k):
     else:
         with pytest.raises(CycleKitError, match="^the cycle geometry leaves the float range"):
             render_svg(doc)
+
 
 @pytest.mark.parametrize("sigma, comment", [(E, "empty elliptic locus"), (P, "empty parabolic locus")])
 def test_a_locus_with_no_real_point_is_an_svg_comment(sigma, comment):
